@@ -83,6 +83,9 @@ func runOne(workload string, cfg workloads.Config, maxLMADs int, out string, wor
 		return err
 	}
 	profile := lp.Profile(ev.Name)
+	if err := deg.Check(lp.Err()); err != nil {
+		return err
+	}
 
 	accPct, instrPct := profile.SampleQuality()
 	fmt.Printf("workload %s: %d accesses, %d streams, %d LMADs\n",

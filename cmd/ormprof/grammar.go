@@ -65,6 +65,9 @@ func grammarCmd(args []string) error {
 			return err
 		}
 		profile = wp.Profile(ev.Name)
+		if err := deg.Check(wp.Err()); err != nil {
+			return err
+		}
 	}
 	g := profile.Grammars[dim]
 

@@ -32,6 +32,9 @@ func regularityCmd(args []string) error {
 		return err
 	}
 	profile := lp.Profile(ev.Name)
+	if err := deg.Check(lp.Err()); err != nil {
+		return err
+	}
 
 	type row struct {
 		key     leap.StreamKey

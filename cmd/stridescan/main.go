@@ -106,7 +106,11 @@ func scanOne(ev *cliutil.Events, maxLMADs, workers int, seed uint64) error {
 	if err := deg.Check(perr); err != nil {
 		return err
 	}
-	est := stride.FromLEAPParallel(lp.Profile(ev.Name), workers)
+	lprof := lp.Profile(ev.Name)
+	if err := deg.Check(lp.Err()); err != nil {
+		return err
+	}
+	est := stride.FromLEAPParallel(lprof, workers)
 	strong := ideal.StronglyStrided()
 	real := stride.SortedIDs(strong)
 

@@ -104,6 +104,9 @@ func runOne(workload string, cfg workloads.Config, out string, workers int, tf *
 		return err
 	}
 	profile := wp.Profile(ev.Name)
+	if err := deg.Check(wp.Err()); err != nil {
+		return err
+	}
 
 	rasg := whomp.NewRASG()
 	_, perr = ev.Pass(rasg)

@@ -85,10 +85,10 @@ type SiteEntry struct {
 
 // State is the complete resumable state of one ingestion session.
 //
-// The WHOMP and LEAP pipelines each keep their own OMC (mirroring the
-// offline tools, which build one per profiler run), so both are stored.
-// All component fields are the exact-snapshot types whose restore is
-// proven byte-exact by their packages' resume tests.
+// A session runs one OMC whose translated records feed both the WHOMP and
+// the LEAP compressors; its snapshot is WhompOMC. All component fields are
+// the exact-snapshot types whose restore is proven byte-exact by their
+// packages' resume tests.
 type State struct {
 	// SessionID names the session (the client supplies it and keeps it
 	// across reconnects).
@@ -105,9 +105,12 @@ type State struct {
 
 	WhompOMC *omc.Snapshot
 	Whomp    *whomp.SCCSnapshot
-	LeapOMC  *omc.Snapshot
-	Leap     *leap.SCCSnapshot
-	Stride   *stride.Snapshot
+	// LeapOMC is never written and is ignored on restore. Checkpoints from
+	// before sessions shared one OMC carry a second, identical OMC here;
+	// the field stays so they still decode.
+	LeapOMC *omc.Snapshot
+	Leap    *leap.SCCSnapshot
+	Stride  *stride.Snapshot
 
 	// Ladder is the resource-governance state: the degradation rung the
 	// session was on, its step history, and the degraded modes' own state.

@@ -316,7 +316,9 @@ func openReplay(path string) (*Events, error) {
 
 // Pass streams one complete pass of the event stream into sink and reports
 // the number of events delivered. Replay passes hold O(batch) events in
-// memory; live passes replay the run's buffer. When -deadline is set, all
+// memory; live passes replay the run's buffer. Every pass runs through
+// trace.DrainContext, so a panic in the sink comes back as a
+// *trace.PanicError with the delivered count. When -deadline is set, all
 // passes of the invocation share one time budget (the clock starts at the
 // first pass), so -deadline bounds the tool's total event-stream work
 // rather than multiplying by the pass count; with -lenient the replay
@@ -335,10 +337,6 @@ func (ev *Events) Pass(sink trace.Sink) (int, error) {
 		defer cancel()
 	}
 	if ev.path == "" {
-		if ev.deadline <= 0 {
-			ev.buf.Replay(sink)
-			return ev.buf.Len(), nil
-		}
 		return trace.DrainContext(ctx, ev.buf.Source(), sink)
 	}
 	f, err := os.Open(ev.path)

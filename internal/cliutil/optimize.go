@@ -224,7 +224,11 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 		if err := deg.Check(err); err != nil {
 			return nil, err
 		}
-		rules = prefetch.BuildPlan(lp.Profile(ev.Name), lineBytes, cfg.Lookahead).Rules()
+		lprof := lp.Profile(ev.Name)
+		if err := deg.Check(lp.Err()); err != nil {
+			return nil, err
+		}
+		rules = prefetch.BuildPlan(lprof, lineBytes, cfg.Lookahead).Rules()
 	}
 
 	// Assemble and serialize the plan.

@@ -250,6 +250,16 @@ func FromSource(workload string, src trace.Source, siteNames map[trace.SiteID]st
 // OMC exposes the profiler's object-management component.
 func (p *Profiler) OMC() *omc.OMC { return p.omc }
 
+// Err reports the profiler's first pipeline fault — a *profiler.WorkerError
+// if a compression worker panicked. Sequential profilers always report nil.
+// Call after Profile for the final verdict.
+func (p *Profiler) Err() error {
+	if e, ok := p.scc.(interface{ Err() error }); ok {
+		return e.Err()
+	}
+	return nil
+}
+
 // Footprint reports the pipeline's approximate live bytes (OMC + SCC).
 // The parallel SCC does not account — governed runs are sequential — so
 // it contributes zero.

@@ -17,61 +17,66 @@ import (
 	"ormprof/internal/whomp"
 )
 
-// pipelineMode is one session's full profiling state: the WHOMP and LEAP
-// pipelines (each with its own OMC, mirroring the offline tools) plus the
-// lossless stride profiler. It is what checkpoints snapshot and what the
-// final profiles are built from. The SCCs are deliberately the sequential
-// ones: exact snapshots need single-threaded state, and the parallel
-// stages are defined to produce byte-identical profiles anyway, so daemon
-// output matches offline runs at any worker count.
+// pipelineMode is one session's full profiling state: one OMC and CDC
+// whose translated records feed the WHOMP and then the LEAP compressor
+// (pipelineMode is itself the CDC's SCC), plus the lossless stride
+// profiler. It is what checkpoints snapshot and what the final profiles
+// are built from. The SCCs are deliberately the sequential ones: exact
+// snapshots need single-threaded state, and the parallel stages are
+// defined to produce byte-identical profiles anyway, so daemon output
+// matches offline runs at any worker count.
 //
 // It implements govern.Mode, so a session's degradation ladder can
 // account and, over budget, discard it.
 type pipelineMode struct {
-	whompOMC *omc.OMC
+	omc      *omc.OMC
+	cdc      *profiler.CDC
 	whompSCC *whomp.SCC
-	whompCDC *profiler.CDC
-
-	leapOMC *omc.OMC
-	leapSCC *leap.SCC
-	leapCDC *profiler.CDC
-
-	ideal *stride.Ideal
+	leapSCC  *leap.SCC
+	ideal    *stride.Ideal
 }
 
 func newPipelineMode(sites map[trace.SiteID]string, maxLMADs int) *pipelineMode {
-	m := &pipelineMode{
-		whompOMC: omc.New(sites),
-		whompSCC: whomp.NewSCC(),
-		leapOMC:  omc.New(sites),
-		leapSCC:  leap.NewSCC(maxLMADs),
-		ideal:    stride.NewIdeal(),
-	}
-	m.whompCDC = profiler.NewCDC(m.whompOMC, m.whompSCC)
-	m.leapCDC = profiler.NewCDC(m.leapOMC, m.leapSCC)
+	return assemblePipelineMode(omc.New(sites), whomp.NewSCC(), leap.NewSCC(maxLMADs), stride.NewIdeal())
+}
+
+// assemblePipelineMode wires fresh or restored components into a mode.
+func assemblePipelineMode(o *omc.OMC, w *whomp.SCC, l *leap.SCC, ideal *stride.Ideal) *pipelineMode {
+	m := &pipelineMode{omc: o, whompSCC: w, leapSCC: l, ideal: ideal}
+	m.cdc = profiler.NewCDC(o, m)
 	return m
 }
 
 func (m *pipelineMode) Emit(e trace.Event) {
-	m.whompCDC.Emit(e)
-	m.leapCDC.Emit(e)
+	m.cdc.Emit(e)
 	m.ideal.Emit(e)
 }
 
+// Consume implements profiler.SCC: every translated record goes to both
+// compressors.
+func (m *pipelineMode) Consume(r profiler.Record) {
+	m.whompSCC.Consume(r)
+	m.leapSCC.Consume(r)
+}
+
+// Finish implements profiler.SCC.
+func (m *pipelineMode) Finish() {
+	m.whompSCC.Finish()
+	m.leapSCC.Finish()
+}
+
 func (m *pipelineMode) Footprint() int64 {
-	return m.whompOMC.Footprint() + m.whompSCC.Footprint() +
-		m.leapOMC.Footprint() + m.leapSCC.Footprint() + m.ideal.Footprint()
+	return m.omc.Footprint() + m.whompSCC.Footprint() + m.leapSCC.Footprint() + m.ideal.Footprint()
 }
 
 // profiles finalizes the mode into its three profile artifacts.
 func (m *pipelineMode) profiles(workload string) (*whomp.Profile, *leap.Profile, *stride.Ideal) {
-	m.whompCDC.Finish()
-	m.leapCDC.Finish()
+	m.cdc.Finish()
 	wp := &whomp.Profile{
 		Workload: workload,
 		Records:  m.whompSCC.Records(),
 		Grammars: m.whompSCC.Grammars(),
-		Objects:  whomp.FromOMC(m.whompOMC),
+		Objects:  whomp.FromOMC(m.omc),
 	}
 	return wp, m.leapSCC.BuildProfile(workload), m.ideal
 }
@@ -131,17 +136,15 @@ func newPipeline(workload string, sites map[trace.SiteID]string, maxLMADs int, b
 func pipelineFromState(st *checkpoint.State, maxLMADs int, budget *govern.Budget, governed bool) (*pipeline, error) {
 	var mode *pipelineMode
 	if st.Ladder == nil || st.Ladder.Rung.FullPipeline() {
-		wOMC, err := omc.FromSnapshot(st.WhompOMC)
+		// A checkpoint written before sessions shared one OMC also carries
+		// LeapOMC; it saw the same stream as WhompOMC, so it is ignored.
+		o, err := omc.FromSnapshot(st.WhompOMC)
 		if err != nil {
-			return nil, fmt.Errorf("serve: restore WHOMP OMC: %w", err)
+			return nil, fmt.Errorf("serve: restore OMC: %w", err)
 		}
 		wSCC, err := whomp.SCCFromSnapshot(st.Whomp)
 		if err != nil {
 			return nil, fmt.Errorf("serve: restore WHOMP SCC: %w", err)
-		}
-		lOMC, err := omc.FromSnapshot(st.LeapOMC)
-		if err != nil {
-			return nil, fmt.Errorf("serve: restore LEAP OMC: %w", err)
 		}
 		lSCC, err := leap.SCCFromSnapshot(st.Leap)
 		if err != nil {
@@ -151,15 +154,7 @@ func pipelineFromState(st *checkpoint.State, maxLMADs int, budget *govern.Budget
 		if err != nil {
 			return nil, fmt.Errorf("serve: restore stride profiler: %w", err)
 		}
-		mode = &pipelineMode{
-			whompOMC: wOMC,
-			whompSCC: wSCC,
-			leapOMC:  lOMC,
-			leapSCC:  lSCC,
-			ideal:    ideal,
-		}
-		mode.whompCDC = profiler.NewCDC(mode.whompOMC, mode.whompSCC)
-		mode.leapCDC = profiler.NewCDC(mode.leapOMC, mode.leapSCC)
+		mode = assemblePipelineMode(o, wSCC, lSCC, ideal)
 	}
 	sites := st.SitesMap()
 	cfg := govern.Config{
@@ -226,21 +221,16 @@ func (p *pipeline) state(sessionID string) (*checkpoint.State, error) {
 	if m == nil {
 		return st, nil
 	}
-	wo, err := m.whompOMC.Snapshot()
+	o, err := m.omc.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("serve: snapshot WHOMP OMC: %w", err)
+		return nil, fmt.Errorf("serve: snapshot OMC: %w", err)
 	}
 	ws, err := m.whompSCC.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot WHOMP SCC: %w", err)
 	}
-	lo, err := m.leapOMC.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("serve: snapshot LEAP OMC: %w", err)
-	}
-	st.WhompOMC = wo
+	st.WhompOMC = o
 	st.Whomp = ws
-	st.LeapOMC = lo
 	st.Leap = m.leapSCC.Snapshot()
 	st.Stride = m.ideal.Snapshot()
 	return st, nil

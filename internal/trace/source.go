@@ -1,6 +1,11 @@
 package trace
 
-import "io"
+import (
+	"context"
+	"fmt"
+	"io"
+	"runtime/debug"
+)
 
 // Source is the pull side of the event contract: a stream of probe events
 // delivered one at a time, in program order. Next returns io.EOF after the
@@ -35,6 +40,67 @@ func Drain(src Source, sink Sink) (int, error) {
 		}
 		if err != nil {
 			return n, err
+		}
+		sink.Emit(e)
+		n++
+	}
+}
+
+// PanicError is the typed error DrainContext returns when the source or
+// the sink panicked mid-stream: the panic is contained, the stack is
+// captured, and everything consumed before the crash is preserved.
+type PanicError struct {
+	// Value is the value the goroutine panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack at recovery time.
+	Stack []byte
+}
+
+// Error implements error.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("trace: pipeline panicked: %v", e.Value)
+}
+
+// ctxPollInterval is how many events DrainContext delivers between
+// cancellation checks. Checking per event would double the cost of the hot
+// loop; a ~thousand-event granularity keeps cancellation latency in the
+// microseconds at streaming rates.
+const ctxPollInterval = 1024
+
+// DrainContext is the fault-tolerant drain every pipeline runs through:
+// Drain plus cooperative cancellation and panic containment. It polls ctx
+// every ctxPollInterval events and stops with ctx.Err()
+// (context.Canceled or context.DeadlineExceeded) once the context is done,
+// and a panic in src.Next or sink.Emit is recovered into a *PanicError
+// instead of unwinding the caller, so the state accumulated in sink up to
+// that point can still be finalized and reported. Events already delivered
+// stay delivered — the count is always accurate. Paired with a lenient
+// tracefmt.Reader the result is "every salvageable event, or a typed
+// reason why not".
+//
+// Cancellation is cooperative: a source blocked inside Next cannot be
+// preempted, so a stalled producer is bounded by the source itself (or by
+// the caller abandoning the profile), not by this loop.
+func DrainContext(ctx context.Context, src Source, sink Sink) (n int, err error) {
+	// The count is a named return so that events delivered before a panic
+	// stay counted after recovery.
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	for {
+		if n%ctxPollInterval == 0 {
+			if cerr := ctx.Err(); cerr != nil {
+				return n, cerr
+			}
+		}
+		e, serr := src.Next()
+		if serr == io.EOF {
+			return n, nil
+		}
+		if serr != nil {
+			return n, serr
 		}
 		sink.Emit(e)
 		n++

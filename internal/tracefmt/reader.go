@@ -35,7 +35,7 @@ import (
 //     records are lost. Skips are accounted in Stats, and once the input
 //     is exhausted Next returns a *CorruptionError (instead of io.EOF)
 //     summarizing the damage — the salvage signal consumed by
-//     trace.DrainSalvage and the tools' -lenient mode.
+//     trace.DrainContext and the tools' -lenient mode.
 //
 // Header damage is fatal in both modes: without the version byte and the
 // site table there is no way to interpret, or correctly label, whatever

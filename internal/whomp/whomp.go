@@ -131,6 +131,16 @@ func FromSource(workload string, src trace.Source, siteNames map[trace.SiteID]st
 // OMC exposes the profiler's object-management component.
 func (p *Profiler) OMC() *omc.OMC { return p.omc }
 
+// Err reports the profiler's first pipeline fault — a *profiler.WorkerError
+// if a grammar worker panicked. Sequential profilers always report nil.
+// Call after Profile for the final verdict.
+func (p *Profiler) Err() error {
+	if e, ok := p.scc.(interface{ Err() error }); ok {
+		return e.Err()
+	}
+	return nil
+}
+
 // Profile finalizes collection and returns the profile. For a parallel
 // profiler this joins the grammar workers first, so the returned profile is
 // complete and safe to read.

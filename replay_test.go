@@ -8,6 +8,7 @@ package ormprof
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"reflect"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"ormprof/internal/depend"
 	"ormprof/internal/leap"
 	"ormprof/internal/memsim"
+	"ormprof/internal/omc"
 	"ormprof/internal/phase"
 	"ormprof/internal/profiler"
 	"ormprof/internal/stride"
@@ -103,26 +105,30 @@ func TestReplayProfilesByteIdentical(t *testing.T) {
 }
 
 func TestStreamingConsumersMatchSlicePath(t *testing.T) {
-	// Every analysis entry point has a streaming (Source) form; driven from
-	// a replayed trace it must agree exactly with the slice path over the
-	// live buffer.
+	// Every analysis consumer driven from a replayed trace must agree
+	// exactly with the same consumer fed the live buffer.
 	buf, sites, encoded := recordWorkload(t, "181.mcf")
-	reader := func() *tracefmt.Reader {
+	drainBoth := func(live, replay trace.Sink) {
+		t.Helper()
 		r, err := tracefmt.NewReader(bytes.NewReader(encoded))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		if _, err := trace.DrainContext(context.Background(), buf.Source(), live); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.DrainContext(context.Background(), r, replay); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	recsLive, _, err := profiler.TranslateSource(buf.Source(), sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recsReplay, _, err := profiler.TranslateSource(reader(), sites)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var colLive, colReplay profiler.Collector
+	cdcLive := profiler.NewCDC(omc.New(sites), &colLive)
+	cdcReplay := profiler.NewCDC(omc.New(sites), &colReplay)
+	drainBoth(cdcLive, cdcReplay)
+	cdcLive.Finish()
+	cdcReplay.Finish()
+	recsLive, recsReplay := colLive.Records, colReplay.Records
 	if len(recsLive) != len(recsReplay) {
 		t.Fatalf("translate: %d live records, %d replayed", len(recsLive), len(recsReplay))
 	}
@@ -132,50 +138,31 @@ func TestStreamingConsumersMatchSlicePath(t *testing.T) {
 		}
 	}
 
-	strLive, err := stride.IdealFromSource(buf.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	strReplay, err := stride.IdealFromSource(reader())
-	if err != nil {
-		t.Fatal(err)
-	}
+	strLive, strReplay := stride.NewIdeal(), stride.NewIdeal()
+	drainBoth(strLive, strReplay)
 	if !reflect.DeepEqual(strLive.StronglyStrided(), strReplay.StronglyStrided()) {
 		t.Error("stride ideal differs between live and replayed streams")
 	}
 
-	depLive, err := depend.IdealFromSource(buf.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	depReplay, err := depend.IdealFromSource(reader())
-	if err != nil {
-		t.Fatal(err)
-	}
+	depLive, depReplay := depend.NewIdeal(), depend.NewIdeal()
+	drainBoth(depLive, depReplay)
 	if !reflect.DeepEqual(depLive.Result(), depReplay.Result()) {
 		t.Error("dependence ideal differs between live and replayed streams")
 	}
 
-	conLive, err := depend.ConnorsFromSource(buf.Source(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conReplay, err := depend.ConnorsFromSource(reader(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conLive, conReplay := depend.NewConnors(0), depend.NewConnors(0)
+	drainBoth(conLive, conReplay)
 	if !reflect.DeepEqual(conLive.Result(), conReplay.Result()) {
 		t.Error("Connors result differs between live and replayed streams")
 	}
 
-	cogLive, err := phase.CognizantFromSource(buf.Source(), sites, phase.Config{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cogReplay, err := phase.CognizantFromSource(reader(), sites, phase.Config{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cogLive := phase.NewCognizantLEAP(phase.Config{}, 0)
+	cogReplay := phase.NewCognizantLEAP(phase.Config{}, 0)
+	cogCDCLive := profiler.NewCDC(omc.New(sites), cogLive)
+	cogCDCReplay := profiler.NewCDC(omc.New(sites), cogReplay)
+	drainBoth(cogCDCLive, cogCDCReplay)
+	cogCDCLive.Finish()
+	cogCDCReplay.Finish()
 	accLive, _ := phase.Quality(cogLive.Profiles("x"))
 	accReplay, _ := phase.Quality(cogReplay.Profiles("x"))
 	if accLive != accReplay || cogLive.Detector().NumPhases() != cogReplay.Detector().NumPhases() {

@@ -1,14 +1,17 @@
 package ormprof
 
 // Fault-injection soak: every workload's recorded trace is replayed through
-// the fault-tolerant pipeline under a randomized (but seeded, hence
+// the production pipeline under a randomized (but seeded, hence
 // reproducible) schedule of injected faults — corrupt bytes, truncation,
 // field flips, producer panics, worker panics, stalls against deadlines.
-// The contract under test is the robustness tentpole: the pipeline never
-// hangs, never lets a panic escape, never leaks goroutines, and always
-// yields either a (possibly partial) profile or a typed error. With a
-// single corrupted frame, exactly that frame's events are lost — asserted
-// via Reader.Stats().
+// Damaged trace bytes go through a temp file and exactly the calls
+// `whomp -replay -lenient` and `leap -replay -lenient` make (TraceFlags.Load,
+// Events.Pass, Profile, Err); in-flight faults go through trace.DrainContext,
+// the one drain every pass runs on. The contract under test is the
+// robustness tentpole: the pipeline never hangs, never lets a panic escape,
+// never leaks goroutines, and always yields either a (possibly partial)
+// profile or a typed error. With a single corrupted frame, exactly that
+// frame's events are lost — asserted via Events.Stats().
 
 import (
 	"bytes"
@@ -16,13 +19,15 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"ormprof/internal/cliutil"
 	"ormprof/internal/faultinject"
 	"ormprof/internal/leap"
 	"ormprof/internal/profiler"
-	"ormprof/internal/stride"
 	"ormprof/internal/testutil"
 	"ormprof/internal/trace"
 	"ormprof/internal/tracefmt"
@@ -41,53 +46,52 @@ func isTypedFault(err error) bool {
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
-// lenientSource opens encoded bytes as a lenient trace reader. A header
-// too damaged to open is a legitimate outcome for header-offset faults;
-// those cases return (nil, err).
-func lenientSource(data []byte) (*tracefmt.Reader, error) {
-	return tracefmt.NewReader(bytes.NewReader(data), tracefmt.WithLenient())
+// loadLenient writes (possibly damaged) trace bytes to a file in dir and
+// opens it the way `-replay <file> -lenient` does. A header too damaged to
+// open is a legitimate outcome for header-offset faults; those cases return
+// (nil, err).
+func loadLenient(t *testing.T, dir string, data []byte) (*cliutil.Events, error) {
+	t.Helper()
+	path := filepath.Join(dir, "soak.ormtrace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tf := &cliutil.TraceFlags{Replay: path, Lenient: true}
+	return tf.Load("", workloads.Config{})
 }
 
-// runSalvage replays a (possibly damaged) encoded trace through the whomp
-// and leap salvage paths and enforces the soak contract on the outcome.
-func runSalvage(t *testing.T, data []byte, sites map[trace.SiteID]string, totalEvents int64) {
+// runLenientReplay replays a (possibly damaged) trace file through the
+// whomp and leap CLI paths and enforces the soak contract on the outcome.
+func runLenientReplay(t *testing.T, dir string, data []byte, totalEvents int64) {
 	t.Helper()
-	for _, prof := range []string{"whomp", "leap"} {
-		r, err := lenientSource(data)
-		if err != nil {
-			if !errors.Is(err, tracefmt.ErrBadTrace) {
-				t.Fatalf("header error not typed: %v", err)
-			}
-			return // unreadable header is a clean typed failure
+	ev, err := loadLenient(t, dir, data)
+	if err != nil {
+		if !errors.Is(err, tracefmt.ErrBadTrace) {
+			t.Fatalf("header error not typed: %v", err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		switch prof {
-		case "whomp":
-			p, err := whomp.FromSourceSalvage(ctx, "soak", r, sites, 4)
-			if err != nil && !isTypedFault(err) {
-				t.Fatalf("whomp salvage error not typed: %v", err)
-			}
-			if p == nil && err == nil {
-				t.Fatal("whomp salvage returned neither profile nor error")
-			}
-			if p != nil && int64(p.Records) > totalEvents {
-				t.Fatalf("whomp salvaged %d records from %d events", p.Records, totalEvents)
-			}
-		case "leap":
-			p, err := leap.FromSourceSalvage(ctx, "soak", r, sites, 0, 4)
-			if err != nil && !isTypedFault(err) {
-				t.Fatalf("leap salvage error not typed: %v", err)
-			}
-			if p == nil && err == nil {
-				t.Fatal("leap salvage returned neither profile nor error")
-			}
+		return // unreadable header is a clean typed failure
+	}
+	check := func(prof string, passErr error, records uint64, pipeErr error) {
+		t.Helper()
+		if passErr != nil && !isTypedFault(passErr) {
+			t.Fatalf("%s pass error not typed: %v", prof, passErr)
 		}
-		cancel()
-		st := r.Stats()
-		if st.Events < 0 || st.Events > totalEvents {
+		if int64(records) > totalEvents {
+			t.Fatalf("%s salvaged %d records from %d events", prof, records, totalEvents)
+		}
+		if pipeErr != nil {
+			t.Fatalf("%s pipeline fault on a damaged trace: %v", prof, pipeErr)
+		}
+		if st := ev.Stats(); st.Events < 0 || st.Events > totalEvents {
 			t.Fatalf("reader stats inconsistent: delivered %d of %d", st.Events, totalEvents)
 		}
 	}
+	wp := whomp.NewParallel(ev.Sites, 4)
+	_, err = ev.Pass(wp)
+	check("whomp", err, wp.Profile(ev.Name).Records, wp.Err())
+	lp := leap.NewParallel(ev.Sites, 0, 4)
+	_, err = ev.Pass(lp)
+	check("leap", err, lp.Profile(ev.Name).Records, lp.Err())
 }
 
 func soakWorkloads(t *testing.T) []string {
@@ -109,20 +113,21 @@ func soakOffsets(rng *rand.Rand, size int64, n int) []int64 {
 // inside the header.
 func TestSoakCorruptByte(t *testing.T) {
 	testutil.LeakCheck(t)
+	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(1))
 	nOffsets := 6
 	if testing.Short() {
 		nOffsets = 2
 	}
 	for _, name := range soakWorkloads(t) {
-		buf, sites, encoded := recordWorkload(t, name)
+		buf, _, encoded := recordWorkload(t, name)
 		total := int64(buf.Len())
 		for _, off := range soakOffsets(rng, int64(len(encoded)), nOffsets) {
 			damaged, err := io.ReadAll(faultinject.CorruptByte(bytes.NewReader(encoded), off, byte(rng.Intn(256))))
 			if err != nil {
 				t.Fatal(err)
 			}
-			runSalvage(t, damaged, sites, total)
+			runLenientReplay(t, dir, damaged, total)
 		}
 	}
 }
@@ -131,20 +136,21 @@ func TestSoakCorruptByte(t *testing.T) {
 // the header and mid-frame.
 func TestSoakTruncation(t *testing.T) {
 	testutil.LeakCheck(t)
+	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(2))
 	nOffsets := 6
 	if testing.Short() {
 		nOffsets = 2
 	}
 	for _, name := range soakWorkloads(t) {
-		buf, sites, encoded := recordWorkload(t, name)
+		buf, _, encoded := recordWorkload(t, name)
 		total := int64(buf.Len())
 		for _, cut := range soakOffsets(rng, int64(len(encoded)), nOffsets) {
 			damaged, err := io.ReadAll(faultinject.Truncate(bytes.NewReader(encoded), cut))
 			if err != nil {
 				t.Fatal(err)
 			}
-			runSalvage(t, damaged, sites, total)
+			runLenientReplay(t, dir, damaged, total)
 		}
 	}
 }
@@ -169,21 +175,23 @@ func TestSoakFieldFlip(t *testing.T) {
 		buf, sites, _ := recordWorkload(t, name)
 		for i, mutate := range mutations {
 			n := rng.Int63n(int64(buf.Len()))
-			ctx := context.Background()
 			src := faultinject.FlipField(buf.Source(), n, mutate)
-			p, err := whomp.FromSourceSalvage(ctx, "soak", src, sites, 2)
+			p := whomp.NewParallel(sites, 2)
+			_, err := trace.DrainContext(context.Background(), src, p)
 			if err != nil && !isTypedFault(err) {
 				t.Fatalf("mutation %d: error not typed: %v", i, err)
 			}
-			if p == nil && err == nil {
-				t.Fatalf("mutation %d: neither profile nor error", i)
+			p.Profile("soak")
+			if err := p.Err(); err != nil && !isTypedFault(err) {
+				t.Fatalf("mutation %d: pipeline error not typed: %v", i, err)
 			}
 		}
 	}
 }
 
-// TestSoakProducerPanic: the source itself panics mid-stream; DrainSalvage
-// must contain it and hand back the partial profile with a *PanicError.
+// TestSoakProducerPanic: the source itself panics mid-stream; DrainContext
+// must contain it, keep the delivered count, and leave the profiler able to
+// finish the partial profile.
 func TestSoakProducerPanic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
@@ -194,13 +202,20 @@ func TestSoakProducerPanic(t *testing.T) {
 		buf, sites, _ := recordWorkload(t, name)
 		n := 1 + rng.Int63n(int64(buf.Len())-1)
 		src := faultinject.PanicAfter(buf.Source(), n)
-		p, err := leap.FromSourceSalvage(context.Background(), "soak", src, sites, 0, 4)
+		p := leap.NewParallel(sites, 0, 4)
+		delivered, err := trace.DrainContext(context.Background(), src, p)
 		var pe *trace.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("%s: err = %v, want *trace.PanicError", name, err)
 		}
-		if p == nil {
+		if int64(delivered) != n {
+			t.Fatalf("%s: delivered %d events before the panic, want %d", name, delivered, n)
+		}
+		if prof := p.Profile("soak"); prof == nil {
 			t.Fatalf("%s: no partial profile", name)
+		}
+		if err := p.Err(); err != nil {
+			t.Fatalf("%s: pipeline fault after a producer panic: %v", name, err)
 		}
 	}
 }
@@ -216,10 +231,7 @@ func TestSoakWorkerPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, name := range soakWorkloads(t) {
 		buf, sites, _ := recordWorkload(t, name)
-		records, _, err := profiler.TranslateSourceSalvage(context.Background(), buf.Source(), sites)
-		if err != nil {
-			t.Fatal(err)
-		}
+		records, _ := profiler.TranslateTrace(buf.Events, sites)
 		if len(records) < 4 {
 			continue
 		}
@@ -265,12 +277,13 @@ func TestSoakStallDeadline(t *testing.T) {
 		src := faultinject.Stall(buf.Source(), n, 300*time.Millisecond)
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		start := time.Now()
-		p, err := whomp.FromSourceSalvage(ctx, "soak", src, sites, 2)
+		p := whomp.NewParallel(sites, 2)
+		_, err := trace.DrainContext(ctx, src, p)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s: err = %v, want DeadlineExceeded", name, err)
 		}
-		if p == nil {
+		if prof := p.Profile("soak"); prof == nil {
 			t.Fatalf("%s: no partial profile", name)
 		}
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -315,16 +328,23 @@ func TestSoakSingleFrameLossIsExact(t *testing.T) {
 	damaged := bytes.Clone(encoded)
 	damaged[off+16] ^= 0xa5
 
-	r, err := lenientSource(damaged)
+	ev, err := loadLenient(t, t.TempDir(), damaged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, serr := stride.IdealFromSourceSalvage(context.Background(), r)
+	p := whomp.NewParallel(ev.Sites, 4)
+	_, serr := ev.Pass(p)
 	var ce *tracefmt.CorruptionError
 	if !errors.As(serr, &ce) {
 		t.Fatalf("err = %v, want *CorruptionError", serr)
 	}
-	st := r.Stats()
+	if prof := p.Profile(ev.Name); prof == nil || int64(prof.Records) > total-batch {
+		t.Fatalf("salvaged profile missing or built from more than the surviving frames")
+	}
+	if err := p.Err(); err != nil {
+		t.Fatalf("pipeline fault after one lost frame: %v", err)
+	}
+	st := ev.Stats()
 	if st.SkippedFrames != 1 || st.Corruptions != 1 {
 		t.Fatalf("SkippedFrames/Corruptions = %d/%d, want 1/1", st.SkippedFrames, st.Corruptions)
 	}
@@ -333,8 +353,5 @@ func TestSoakSingleFrameLossIsExact(t *testing.T) {
 	}
 	if st.Events != total-batch {
 		t.Fatalf("delivered %d events, want %d (all but one frame)", st.Events, total-batch)
-	}
-	if p == nil {
-		t.Fatal("no salvaged profiler")
 	}
 }
