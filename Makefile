@@ -23,16 +23,17 @@ test: build
 	$(GO) test ./...
 
 # Tier-2: race-detect the parallel pipeline — the sharded/broadcast fan-out
-# stages and their consumers — plus the trace codec, the CLI plumbing, and
-# the networked service layer (server, sessions, client, checkpoints), then
-# style checks and a short fuzz of every binary decoder. Run this for any
-# change touching internal/profiler, internal/whomp, internal/leap,
-# internal/stride, internal/tracefmt, internal/cliutil, internal/serve, or
-# internal/checkpoint.
+# stages and their consumers — plus the trace codec, the CLI plumbing (a
+# parallel full mode held by a ladder), the memory budget that ormpd shares
+# across session goroutines, and the networked service layer (server,
+# sessions, client, checkpoints), then style checks and a short fuzz of
+# every binary decoder. Run this for any change touching internal/profiler,
+# internal/whomp, internal/leap, internal/stride, internal/tracefmt,
+# internal/cliutil, internal/govern, internal/serve, or internal/checkpoint.
 test-race: vet
 	$(GO) test -race ./internal/profiler/... ./internal/whomp/... \
 		./internal/leap/... ./internal/stride/... ./internal/decomp/... \
-		./internal/tracefmt/... ./internal/cliutil/... \
+		./internal/tracefmt/... ./internal/cliutil/... ./internal/govern/... \
 		./internal/serve/... ./internal/checkpoint/...
 	$(MAKE) fuzz-short
 

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -251,6 +252,12 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"layoutopt", []string{"-mem-budget", "nope"}, "not a size"},
 		{"layoutopt", []string{"-deadline", "soon"}, "invalid value"},
 		{"ormprof", []string{"translate", "-mem-budget", "zz"}, "not a size"},
+		{"ormprof", []string{"regularity", "-mem-budget", "lots"}, "not a size"},
+		{"ormprof", []string{"locality", "-mem-budget", "1Q"}, "not a size"},
+		// The raw event dump keeps no profiling state, so it has no
+		// budget to enforce and no sketches to start on.
+		{"ormprof", []string{"trace", "-mem-budget", "1K"}, "flag provided but not defined: -mem-budget"},
+		{"ormprof", []string{"trace", "-approx"}, "flag provided but not defined: -approx"},
 		{"ormprof", []string{"grammar", "-workers", "0"}, "must be at least 1"},
 		{"ormprof", []string{"optimize", "-workers", "0"}, "must be at least 1"},
 		{"ormprof", []string{"optimize", "-workers", "two"}, "must be an integer"},
@@ -372,6 +379,109 @@ func TestCLIApprox(t *testing.T) {
 	// exit-2 convention reports it.
 	out = runToolExit(t, 2, "whomp", "-replay", tr, "-approx", "-mem-budget", "1K")
 	wantContains(t, out, "profiling degraded to")
+}
+
+// TestCLIRoomyBudgetMatchesUngoverned pins the one-profiling-path
+// contract: a budget no pass can reach changes nothing but the tail. Under
+// -mem-budget 64G every tool's stdout is its ungoverned stdout followed
+// only by governance sections reading mode full / steps 0, and both runs
+// exit 0. The ungoverned runs use two workers while the budgeted runs
+// are sequential, so this also checks parallel ≡ sequential at the CLI.
+func TestCLIRoomyBudgetMatchesUngoverned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "t.ormtrace")
+	runTool(t, "ormprof", "record", "-workload", "197.parser", "-o", tr)
+
+	in := []string{"-replay", tr}
+	par := append([]string{"-workers", "2"}, in...)
+	cases := []struct {
+		tool string
+		args []string
+	}{
+		{"whomp", par},
+		{"leap", par},
+		{"stridescan", par},
+		{"mdep", in},
+		{"phasescan", in},
+		{"layoutopt", in},
+		{"ormprof", append([]string{"translate"}, in...)},
+		{"ormprof", append([]string{"groups"}, in...)},
+		{"ormprof", append([]string{"grammar"}, par...)},
+		{"ormprof", append([]string{"optimize", "-plan", "none"}, par...)},
+		{"ormprof", append([]string{"regularity"}, in...)},
+		{"ormprof", append([]string{"locality"}, in...)},
+		{"tracecat", []string{"-stats", tr}},
+	}
+	section := regexp.MustCompile(`^# resource governance\nmode full\nbudget 68719476736\nused \d+\nsteps 0\n`)
+	for _, tc := range cases {
+		plain := runToolStdout(t, 0, tc.tool, tc.args...)
+		k := 0 // flags go before tracecat's file and after ormprof's subcommand
+		if tc.tool == "ormprof" {
+			k = 1
+		}
+		budgeted := append(append(append([]string{}, tc.args[:k]...), "-mem-budget", "64G"), tc.args[k:]...)
+		roomy := runToolStdout(t, 0, tc.tool, budgeted...)
+		tail, ok := strings.CutPrefix(roomy, plain)
+		if !ok {
+			t.Errorf("%s %v: -mem-budget 64G stdout does not start with the ungoverned stdout:\n%s\n--- ungoverned:\n%s",
+				tc.tool, tc.args, roomy, plain)
+			continue
+		}
+		tail = strings.TrimPrefix(tail, "\n") // optimize sets its report off by a blank line
+		sections := 0
+		for tail != "" {
+			m := section.FindString(tail)
+			if m == "" {
+				t.Errorf("%s %v: unexpected governed tail:\n%s", tc.tool, tc.args, tail)
+				break
+			}
+			tail = tail[len(m):]
+			sections++
+		}
+		if sections == 0 {
+			t.Errorf("%s %v: -mem-budget 64G printed no governance section", tc.tool, tc.args)
+		}
+	}
+}
+
+// runToolStdout executes a built binary, asserts its exit code, and
+// returns its stdout alone.
+func runToolStdout(t *testing.T, wantCode int, name string, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(filepath.Join(buildTools(t), name), args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	code := 0
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("%s %v: %v", name, args, err)
+		}
+		code = ee.ExitCode()
+	}
+	if code != wantCode {
+		t.Fatalf("%s %v: exit code %d, want %d\n%s%s", name, args, code, wantCode, stdout.String(), stderr.String())
+	}
+	return stdout.String()
+}
+
+// TestCLIOrmprofAnalysesGoverned: the regularity and locality analyses
+// honour -mem-budget and -approx like every other profiling tool — a tiny
+// budget degrades their profiling pass, prints the governance report, and
+// exits 2; -approx is a request and exits 0.
+func TestCLIOrmprofAnalysesGoverned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	for _, sub := range []string{"regularity", "locality"} {
+		out := runToolExit(t, 2, "ormprof", sub, "-workload", "linkedlist", "-mem-budget", "1K")
+		wantContains(t, out, "# resource governance", "profiling degraded to")
+		out = runToolExit(t, 0, "ormprof", sub, "-workload", "linkedlist", "-approx")
+		wantContains(t, out, "mode sketch-stride")
+	}
 }
 
 func TestCLIReplaySingleWorkloadTools(t *testing.T) {

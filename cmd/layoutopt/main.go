@@ -66,13 +66,7 @@ func run(workload string, wcfg workloads.Config, cache string, tf *cliutil.Trace
 	}
 	if d.OMC == nil {
 		fmt.Printf("workload %s: layout analysis unavailable (degraded to %s)\n", ev.Name, d.Ladder.Rung())
-		if err := cliutil.WriteGovernance(os.Stdout, d.Ladder); err != nil {
-			return err
-		}
-		if err := deg.Check(d.Ladder.Err()); err != nil {
-			return err
-		}
-		return deg.Err()
+		return ev.Finish(os.Stdout, &deg, d.Ladder)
 	}
 	recs, o := d.Records, d.OMC
 	full := d.Planner.BuildPlan(ev.Name, o)
@@ -110,13 +104,5 @@ func run(workload string, wcfg workloads.Config, cache string, tf *cliutil.Trace
 	beforeAMAT, afterAMAT := amat(orig), amat(bothResolver)
 	fmt.Printf("\nAMAT (L1 4cy, L2 12cy, mem 200cy): %.2f -> %.2f cycles/access (%.1f%% faster)\n",
 		beforeAMAT, afterAMAT, 100*(1-afterAMAT/beforeAMAT))
-	if d.Ladder != nil {
-		if err := cliutil.WriteGovernance(os.Stdout, d.Ladder); err != nil {
-			return err
-		}
-		if err := deg.Check(d.Ladder.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg, d.Ladder)
 }

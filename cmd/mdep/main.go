@@ -115,22 +115,12 @@ func depOne(ev *cliutil.Events, maxLMADs, window int, seed uint64) error {
 	// Only the LEAP estimate is governed by -mem-budget: the lossless
 	// baseline and the Connors profiler ARE the experiment's ground truth,
 	// so degrading them would corrupt the comparison rather than bound it.
-	var llad *govern.Ladder
+	llad, _, perr := ev.ProfilePass(seed, 1, func(int) govern.Mode { return leap.New(ev.Sites, maxLMADs) })
+	if err := deg.Check(perr); err != nil {
+		return err
+	}
 	var leapRes *depend.Result
-	if ev.Governed() {
-		llad, _, perr = ev.GovernedPass(seed, func() govern.Mode { return leap.New(ev.Sites, maxLMADs) })
-		if err := deg.Check(perr); err != nil {
-			return err
-		}
-		if lp, ok := llad.FullMode().(*leap.Profiler); ok {
-			leapRes = depend.FromLEAP(lp.Profile(ev.Name))
-		}
-	} else {
-		lp := leap.New(ev.Sites, maxLMADs)
-		_, perr = ev.Pass(lp)
-		if err := deg.Check(perr); err != nil {
-			return err
-		}
+	if lp, ok := llad.FullMode().(*leap.Profiler); ok {
 		leapRes = depend.FromLEAP(lp.Profile(ev.Name))
 	}
 	con := depend.NewConnors(window)
@@ -149,15 +139,7 @@ func depOne(ev *cliutil.Events, maxLMADs, window int, seed uint64) error {
 			depend.Distribution(ideal.Result(), leapRes),
 			depend.Distribution(ideal.Result(), con.Result()))
 	}
-	if llad != nil {
-		if err := cliutil.WriteGovernance(os.Stdout, llad); err != nil {
-			return err
-		}
-		if err := deg.Check(llad.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg, llad)
 }
 
 func printDistributions(name string, leapDist, connDist depend.ErrorDist) {

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"sort"
 
 	"ormprof/internal/cliutil"
@@ -44,30 +45,18 @@ func grammarCmd(args []string) error {
 		return err
 	}
 	var deg cliutil.Degraded
-	var profile *whomp.Profile
-	var lad *govern.Ladder
-	if ev.Governed() {
-		var perr error
-		lad, _, perr = ev.GovernedPass(uint64(*seed), func() govern.Mode { return whomp.New(ev.Sites) })
-		if err := deg.Check(perr); err != nil {
-			return err
-		}
-		wp, ok := lad.FullMode().(*whomp.Profiler)
-		if !ok {
-			fmt.Printf("workload %s: grammar unavailable (degraded to %s)\n", ev.Name, lad.Rung())
-			return finishGoverned(&deg, lad)
-		}
-		profile = wp.Profile(ev.Name)
-	} else {
-		wp := whomp.NewParallel(ev.Sites, *workers)
-		_, perr := ev.Pass(wp)
-		if err := deg.Check(perr); err != nil {
-			return err
-		}
-		profile = wp.Profile(ev.Name)
-		if err := deg.Check(wp.Err()); err != nil {
-			return err
-		}
+	lad, _, perr := ev.ProfilePass(uint64(*seed), *workers, func(w int) govern.Mode { return whomp.NewParallel(ev.Sites, w) })
+	if err := deg.Check(perr); err != nil {
+		return err
+	}
+	wp, ok := lad.FullMode().(*whomp.Profiler)
+	if !ok {
+		fmt.Printf("workload %s: grammar unavailable (degraded to %s)\n", ev.Name, lad.Rung())
+		return ev.Finish(os.Stdout, &deg, lad)
+	}
+	profile := wp.Profile(ev.Name)
+	if err := deg.Check(wp.Err()); err != nil {
+		return err
 	}
 	g := profile.Grammars[dim]
 
@@ -97,5 +86,5 @@ func grammarCmd(args []string) error {
 	if len(streams) == 0 {
 		fmt.Println("  (no repeated subsequences — the stream is unique throughout)")
 	}
-	return finishGoverned(&deg, lad)
+	return ev.Finish(os.Stdout, &deg, lad)
 }

@@ -32,21 +32,29 @@ func localityCmd(args []string) error {
 		return err
 	}
 	lineHist := ls.Histogram()
-	recs, _, err := ev.Translate()
+	tr, err := ev.Translate(uint64(*seed))
 	if err := deg.Check(err); err != nil {
 		return err
 	}
-	objHist := locality.ObjectHistogram(recs)
+	// A -mem-budget can take the object-relative stream away; the line
+	// column still stands on its own pass.
+	objects := fmt.Sprintf("object stream unavailable, degraded to %s", tr.Ladder.Rung())
+	objCell := func(uint64) string { return "n/a" }
+	if tr.OMC != nil {
+		objHist := locality.ObjectHistogram(tr.Records)
+		objects = fmt.Sprintf("%d object touches", objHist.Total)
+		objCell = func(c uint64) string { return report.Pct(100 * objHist.MissRatio(c)) }
+	}
 
-	fmt.Printf("workload %s: reuse-distance analysis (%d line touches, %d object touches)\n\n",
-		ev.Name, lineHist.Total, objHist.Total)
+	fmt.Printf("workload %s: reuse-distance analysis (%d line touches, %s)\n\n",
+		ev.Name, lineHist.Total, objects)
 	tbl := report.NewTable("LRU capacity", "Line miss ratio", "Object miss ratio")
 	for _, c := range []uint64{8, 32, 128, 512, 2048, 8192} {
-		tbl.AddRowf(c, report.Pct(100*lineHist.MissRatio(c)), report.Pct(100*objHist.MissRatio(c)))
+		tbl.AddRowf(c, report.Pct(100*lineHist.MissRatio(c)), objCell(c))
 	}
 	tbl.WriteTo(os.Stdout) //nolint:errcheck // stdout
 	fmt.Println("\nline rows predict a fully associative LRU cache of that many lines")
 	fmt.Println("exactly; object rows measure locality of the object-relative stream,")
 	fmt.Println("independent of allocator placement.")
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg, tr.Ladder)
 }

@@ -22,11 +22,8 @@ import (
 	"os"
 
 	"ormprof/internal/cliutil"
-	"ormprof/internal/govern"
 	"ormprof/internal/leap"
 	"ormprof/internal/memsim"
-	"ormprof/internal/omc"
-	"ormprof/internal/profiler"
 	"ormprof/internal/report"
 	"ormprof/internal/trace"
 	"ormprof/internal/tracefmt"
@@ -89,15 +86,21 @@ commands:
 	os.Exit(2)
 }
 
-// workloadFlags registers the flags every workload-driven subcommand
-// shares, including the -record/-replay trace pair.
+// workloadFlags registers the flags the workload-driven subcommands
+// share: the workload selection, the -record/-replay trace pair, and the
+// -mem-budget/-approx governance pair.
 func workloadFlags(fs *flag.FlagSet) (*string, *int, *int64, *int, *cliutil.TraceFlags) {
+	w, scale, seed, n := selectFlags(fs)
+	return w, scale, seed, n, cliutil.RegisterTraceFlags(fs)
+}
+
+// selectFlags registers the workload selection and the -n print limit.
+func selectFlags(fs *flag.FlagSet) (*string, *int, *int64, *int) {
 	w := fs.String("workload", "linkedlist", "workload name")
 	scale := fs.Int("scale", 1, "workload scale factor")
 	seed := fs.Int64("seed", 42, "workload random seed")
 	n := fs.Int("n", 20, "number of entries to print")
-	tf := cliutil.RegisterTraceFlags(fs)
-	return w, scale, seed, n, tf
+	return w, scale, seed, n
 }
 
 // load resolves the workload selection and trace flags into an event
@@ -135,7 +138,10 @@ func recordCmd(args []string) error {
 
 func traceCmd(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	w, scale, seed, n, tf := workloadFlags(fs)
+	w, scale, seed, n := selectFlags(fs)
+	// The raw dump keeps no profiling state, so it takes no -mem-budget
+	// or -approx.
+	tf := cliutil.RegisterStreamFlags(fs)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	ev, err := load(*w, *scale, *seed, tf)
 	if err != nil {
@@ -167,49 +173,25 @@ func translateCmd(args []string) error {
 		return err
 	}
 	var deg cliutil.Degraded
-	lad, recs, o, err := translate(ev, uint64(*seed))
+	tr, err := ev.Translate(uint64(*seed))
 	if err := deg.Check(err); err != nil {
 		return err
 	}
-	if lad != nil && o == nil {
-		fmt.Printf("translation unavailable (degraded to %s)\n", lad.Rung())
-		return finishGoverned(&deg, lad)
+	o := tr.OMC
+	if o == nil {
+		fmt.Printf("translation unavailable (degraded to %s)\n", tr.Ladder.Rung())
+		return ev.Finish(os.Stdout, &deg, tr.Ladder)
 	}
-	for i, r := range recs {
+	for i, r := range tr.Records {
 		if i == *n {
-			fmt.Printf("… %d more records\n", len(recs)-*n)
+			fmt.Printf("… %d more records\n", len(tr.Records)-*n)
 			break
 		}
 		fmt.Printf("%v  group=%s\n", r, o.GroupName(r.Ref.Group))
 	}
 	translated, unmapped := o.Stats()
 	fmt.Printf("translated %d accesses (%d unmapped)\n", translated+unmapped, unmapped)
-	return finishGoverned(&deg, lad)
-}
-
-// translate dispatches between the plain and budget-governed translation
-// paths. Under -mem-budget a nil OMC means the ladder dropped below the
-// sampled rung and only the governance report remains.
-func translate(ev *cliutil.Events, seed uint64) (*govern.Ladder, []profiler.Record, *omc.OMC, error) {
-	if ev.Governed() {
-		return ev.TranslateGoverned(seed)
-	}
-	recs, o, err := ev.Translate()
-	return nil, recs, o, err
-}
-
-// finishGoverned renders the governance report (if any) and folds the
-// ladder's degradation into the accumulated salvage state.
-func finishGoverned(deg *cliutil.Degraded, lad *govern.Ladder) error {
-	if lad != nil {
-		if err := cliutil.WriteGovernance(os.Stdout, lad); err != nil {
-			return err
-		}
-		if err := deg.Check(lad.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg, tr.Ladder)
 }
 
 func groupsCmd(args []string) error {
@@ -221,13 +203,14 @@ func groupsCmd(args []string) error {
 		return err
 	}
 	var deg cliutil.Degraded
-	lad, _, o, err := translate(ev, uint64(*seed))
+	tr, err := ev.Translate(uint64(*seed))
 	if err := deg.Check(err); err != nil {
 		return err
 	}
-	if lad != nil && o == nil {
-		fmt.Printf("group table unavailable (degraded to %s)\n", lad.Rung())
-		return finishGoverned(&deg, lad)
+	o := tr.OMC
+	if o == nil {
+		fmt.Printf("group table unavailable (degraded to %s)\n", tr.Ladder.Rung())
+		return ev.Finish(os.Stdout, &deg, tr.Ladder)
 	}
 	tbl := report.NewTable("Group", "Name", "Site", "Objects", "First object", "Sizes")
 	for _, g := range o.Groups() {
@@ -254,7 +237,7 @@ func groupsCmd(args []string) error {
 		tbl.AddRowf(g.ID, g.Name, g.Site, g.Count, first, sizes)
 	}
 	tbl.WriteTo(os.Stdout) //nolint:errcheck // stdout
-	return finishGoverned(&deg, lad)
+	return ev.Finish(os.Stdout, &deg, tr.Ladder)
 }
 
 func inspectCmd(args []string) error {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 
 	"ormprof/internal/cliutil"
@@ -55,16 +54,5 @@ func optimizeCmd(args []string) error {
 			return err
 		}
 	}
-	if len(res.Ladders) > 0 {
-		fmt.Println()
-		if err := cliutil.WriteGovernance(os.Stdout, res.Ladders...); err != nil {
-			return err
-		}
-	}
-	for _, lad := range res.Ladders {
-		if err := deg.Check(lad.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	return res.Finish(os.Stdout, &deg)
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"ormprof/internal/cliutil"
+	"ormprof/internal/govern"
 	"ormprof/internal/leap"
 	"ormprof/internal/report"
 )
@@ -26,10 +27,14 @@ func regularityCmd(args []string) error {
 		return err
 	}
 	var deg cliutil.Degraded
-	lp := leap.NewParallel(ev.Sites, 0, 0)
-	_, perr := ev.Pass(lp)
+	lad, _, perr := ev.ProfilePass(uint64(*seed), 0, func(w int) govern.Mode { return leap.NewParallel(ev.Sites, 0, w) })
 	if err := deg.Check(perr); err != nil {
 		return err
+	}
+	lp, ok := lad.FullMode().(*leap.Profiler)
+	if !ok {
+		fmt.Printf("workload %s: LEAP profile unavailable (degraded to %s)\n", ev.Name, lad.Rung())
+		return ev.Finish(os.Stdout, &deg, lad)
 	}
 	profile := lp.Profile(ev.Name)
 	if err := deg.Check(lp.Err()); err != nil {
@@ -82,5 +87,5 @@ func regularityCmd(args []string) error {
 	fmt.Printf("\nseparation (Figure 2): %.0f%% of accesses in regular sub-streams, %.0f%% irregular\n",
 		100*float64(regular)/float64(profile.Records),
 		100*float64(irregular)/float64(profile.Records))
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg, lad)
 }

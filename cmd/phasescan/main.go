@@ -50,6 +50,7 @@ func run(workload string, cfg workloads.Config, interval, maxLMADs int, tf *cliu
 	}
 
 	var deg cliutil.Degraded
+	var ev *cliutil.Events
 	var lads []*govern.Ladder
 	tbl := report.NewTable("Benchmark", "Phases", "Transitions", "Monolithic capture", "Phase-cognizant capture")
 	for _, name := range names {
@@ -57,7 +58,8 @@ func run(workload string, cfg workloads.Config, interval, maxLMADs int, tf *cliu
 		if workload == "" && !tf.Active() {
 			flags = &cliutil.TraceFlags{}
 		}
-		ev, err := flags.Load(name, cfg)
+		var err error
+		ev, err = flags.Load(name, cfg)
 		if err != nil {
 			return err
 		}
@@ -65,32 +67,20 @@ func run(workload string, cfg workloads.Config, interval, maxLMADs int, tf *cliu
 		// Only the monolithic LEAP baseline is governed by -mem-budget; the
 		// phase-cognizant pass is the experiment's subject and stays
 		// lossless so the comparison measures phases, not sampling.
-		monoCell := "n/a"
-		if ev.Governed() {
-			mlad, _, perr := ev.GovernedPass(uint64(cfg.Seed), func() govern.Mode { return leap.New(ev.Sites, maxLMADs) })
-			if err := deg.Check(perr); err != nil {
-				return err
-			}
-			if mp, ok := mlad.FullMode().(*leap.Profiler); ok {
-				acc, _ := mp.Profile(ev.Name).SampleQuality()
-				monoCell = report.Pct(acc)
-			} else {
-				monoCell = "degraded (" + mlad.Rung().String() + ")"
-			}
-			lads = append(lads, mlad)
-		} else {
-			mono := leap.New(ev.Sites, maxLMADs)
-			_, perr := ev.Pass(mono)
-			if err := deg.Check(perr); err != nil {
-				return err
-			}
-			acc, _ := mono.Profile(ev.Name).SampleQuality()
+		mlad, _, perr := ev.ProfilePass(uint64(cfg.Seed), 1, func(int) govern.Mode { return leap.New(ev.Sites, maxLMADs) })
+		if err := deg.Check(perr); err != nil {
+			return err
+		}
+		lads = append(lads, mlad)
+		monoCell := "degraded (" + mlad.Rung().String() + ")"
+		if mp, ok := mlad.FullMode().(*leap.Profiler); ok {
+			acc, _ := mp.Profile(ev.Name).SampleQuality()
 			monoCell = report.Pct(acc)
 		}
 
 		cog := phase.NewCognizantLEAP(phase.Config{IntervalLen: interval}, maxLMADs)
 		cdc := profiler.NewCDC(omc.New(ev.Sites), cog)
-		_, perr := ev.Pass(cdc)
+		_, perr = ev.Pass(cdc)
 		if err := deg.Check(perr); err != nil {
 			return err
 		}
@@ -104,13 +94,7 @@ func run(workload string, cfg workloads.Config, interval, maxLMADs int, tf *cliu
 	tbl.WriteTo(os.Stdout) //nolint:errcheck // stdout
 	fmt.Println("\nphase-cognizant streams are more homogeneous, so the same LMAD budget")
 	fmt.Println("captures at least as much per phase (§6 future work, implemented here).")
-	if err := cliutil.WriteGovernance(os.Stdout, lads...); err != nil {
-		return err
-	}
-	for _, lad := range lads {
-		if err := deg.Check(lad.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	// Every stream was loaded with the same flags, so the last one speaks
+	// for all of them.
+	return ev.Finish(os.Stdout, &deg, lads...)
 }

@@ -91,43 +91,16 @@ func run(workload string, cfg workloads.Config, maxLMADs int, verbose bool, work
 // scanOne scores LEAP's stride identification for one event stream against
 // the lossless reference profiler — two streaming passes. Salvaged passes
 // still print the comparison; the remembered error makes the tool exit 2.
+// Under -mem-budget the reference pass is special: its own stride-only
+// rung IS the reference profiler, so the comparison survives two
+// step-downs of that ladder.
 func scanOne(ev *cliutil.Events, maxLMADs, workers int, seed uint64) error {
-	if ev.Governed() {
-		return scanOneGoverned(ev, maxLMADs, seed)
-	}
 	var deg cliutil.Degraded
-	ideal := stride.NewIdeal()
-	_, perr := ev.Pass(ideal)
+	ilad, _, perr := ev.ProfilePass(seed, workers, func(int) govern.Mode { return stride.NewIdeal() })
 	if err := deg.Check(perr); err != nil {
 		return err
 	}
-	lp := leap.NewParallel(ev.Sites, maxLMADs, workers)
-	_, perr = ev.Pass(lp)
-	if err := deg.Check(perr); err != nil {
-		return err
-	}
-	lprof := lp.Profile(ev.Name)
-	if err := deg.Check(lp.Err()); err != nil {
-		return err
-	}
-	est := stride.FromLEAPParallel(lprof, workers)
-	strong := ideal.StronglyStrided()
-	real := stride.SortedIDs(strong)
-
-	printScan(ev, strong, real, est)
-	return deg.Err()
-}
-
-// scanOneGoverned runs both passes behind degradation ladders. The
-// reference pass is special: its own stride-only rung IS the reference
-// profiler, so the comparison survives two step-downs of that ladder.
-func scanOneGoverned(ev *cliutil.Events, maxLMADs int, seed uint64) error {
-	var deg cliutil.Degraded
-	ilad, _, perr := ev.GovernedPass(seed, func() govern.Mode { return stride.NewIdeal() })
-	if err := deg.Check(perr); err != nil {
-		return err
-	}
-	llad, _, perr := ev.GovernedPass(seed, func() govern.Mode { return leap.New(ev.Sites, maxLMADs) })
+	llad, _, perr := ev.ProfilePass(seed, workers, func(w int) govern.Mode { return leap.NewParallel(ev.Sites, maxLMADs, w) })
 	if err := deg.Check(perr); err != nil {
 		return err
 	}
@@ -138,7 +111,11 @@ func scanOneGoverned(ev *cliutil.Events, maxLMADs int, seed uint64) error {
 	}
 	var est map[trace.InstrID]stride.Info
 	if lp, ok := llad.FullMode().(*leap.Profiler); ok {
-		est = stride.FromLEAP(lp.Profile(ev.Name))
+		lprof := lp.Profile(ev.Name)
+		if err := deg.Check(lp.Err()); err != nil {
+			return err
+		}
+		est = stride.FromLEAPParallel(lprof, workers)
 	}
 	switch {
 	case ideal == nil:
@@ -150,20 +127,11 @@ func scanOneGoverned(ev *cliutil.Events, maxLMADs int, seed uint64) error {
 		strong := ideal.StronglyStrided()
 		printScan(ev, strong, stride.SortedIDs(strong), est)
 	}
-	if err := cliutil.WriteGovernance(os.Stdout, ilad, llad); err != nil {
-		return err
-	}
-	if err := deg.Check(ilad.Err()); err != nil {
-		return err
-	}
-	if err := deg.Check(llad.Err()); err != nil {
-		return err
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg, ilad, llad)
 }
 
 // printScan renders the per-instruction comparison table and summary. A
-// nil est (governed run degraded below stride capture) marks every real
+// nil est (a -mem-budget degraded the LEAP pass below the sampled rung) marks every real
 // strided instruction MISS, which is exactly what the profile would say.
 func printScan(ev *cliutil.Events, strong map[trace.InstrID]stride.Info, real []trace.InstrID, est map[trace.InstrID]stride.Info) {
 	found := 0

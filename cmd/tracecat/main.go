@@ -28,6 +28,7 @@ import (
 	"ormprof/internal/sketch"
 	"ormprof/internal/trace"
 	"ormprof/internal/tracefmt"
+	"ormprof/internal/workloads"
 )
 
 func main() {
@@ -155,46 +156,28 @@ func run(path string, n int, kind string, instr, site int, from, to uint64, coun
 	var deg cliutil.Degraded
 
 	if stats {
-		if approx || memBudget > 0 {
-			// The stats builder's instruction/site/live tables are the only
-			// unbounded state here; a directly built ladder governs them.
-			// -approx starts the ladder on the fixed-memory sketch rung.
-			cfg := govern.Config{
-				Budget: govern.NewBudget(memBudget),
-				Full:   func() govern.Mode { return &trace.StatsBuilder{} },
-			}
-			if approx {
-				cfg.StartRung = govern.RungSketchStride
-			}
-			lad := govern.NewLadder(cfg)
-			total, derr := trace.Drain(r, lad)
-			if err := deg.Check(derr); err != nil {
-				return err
-			}
-			if sb, ok := lad.FullMode().(*trace.StatsBuilder); ok {
-				printStats(path, r, sb, total)
-			} else if snap := lad.Snapshot(); snap.Rung.Sketch() {
-				if err := printApproxStats(path, r, snap, total); err != nil {
-					return err
-				}
-			} else {
-				fmt.Printf("trace %s: summary unavailable (degraded to %s)\n", path, lad.Rung())
-			}
-			if err := cliutil.WriteGovernance(os.Stdout, lad); err != nil {
-				return err
-			}
-			if err := deg.Check(lad.Err()); err != nil {
-				return err
-			}
-			return deg.Err()
-		}
-		sb := &trace.StatsBuilder{}
-		total, derr := trace.Drain(r, sb)
-		if err := deg.Check(derr); err != nil {
+		// The stats builder's instruction/site/live tables are the only
+		// unbounded state here, so they are the pass's full mode; -approx
+		// starts its ladder on the fixed-memory sketch rung.
+		tf := &cliutil.TraceFlags{Replay: path, Lenient: lenient, MemBudget: memBudget, Approx: approx}
+		ev, err := tf.Load("", workloads.Config{})
+		if err != nil {
 			return err
 		}
-		printStats(path, r, sb, total)
-		return deg.Err()
+		lad, total, perr := ev.ProfilePass(0, 1, func(int) govern.Mode { return &trace.StatsBuilder{} })
+		if err := deg.Check(perr); err != nil {
+			return err
+		}
+		if sb, ok := lad.FullMode().(*trace.StatsBuilder); ok {
+			printStats(path, r, sb, total)
+		} else if snap := lad.Snapshot(); snap.Rung.Sketch() {
+			if err := printApproxStats(path, r, snap, total); err != nil {
+				return err
+			}
+		} else {
+			fmt.Printf("trace %s: summary unavailable (degraded to %s)\n", path, lad.Rung())
+		}
+		return ev.Finish(os.Stdout, &deg, lad)
 	}
 
 	matched, printed := 0, 0

@@ -7,7 +7,9 @@
 // live workload run (optionally teeing its probe stream to a trace file)
 // or a recorded trace. Each Pass streams the whole event stream into a
 // sink; replay passes read the file with O(batch) memory, so profiling a
-// recorded trace never materializes it.
+// recorded trace never materializes it. Profiling passes go through
+// ProfilePass and the tool's output ends with Finish — the one path on
+// which -mem-budget and -approx take effect (govern.go).
 package cliutil
 
 import (
@@ -24,7 +26,6 @@ import (
 
 	"ormprof/internal/govern"
 	"ormprof/internal/memsim"
-	"ormprof/internal/omc"
 	"ormprof/internal/profiler"
 	"ormprof/internal/serve"
 	"ormprof/internal/trace"
@@ -163,11 +164,11 @@ type TraceFlags struct {
 	// three.
 	Deadline time.Duration
 	// MemBudget is the invocation's memory budget in bytes, shared by
-	// every governed pass; 0 means none. When a pass's accounted footprint
+	// every profiling pass; 0 means none. When a pass's accounted footprint
 	// trips the budget, the pipeline steps down the degradation ladder
 	// (internal/govern) and the tool exits 2 with partial output.
 	MemBudget int64
-	// Approx starts every governed pass directly at the sketch-stride
+	// Approx starts every profiling pass directly at the sketch-stride
 	// rung: fixed-memory count-min/bloom/top-K summaries with ε/δ error
 	// bounds instead of exact profiles. Starting there is a request, not
 	// degradation — the tool exits 0 unless a -mem-budget forces the
@@ -175,9 +176,12 @@ type TraceFlags struct {
 	Approx bool
 }
 
-// RegisterTraceFlags adds -record, -replay, -lenient, -deadline, and
-// -mem-budget to fs.
-func RegisterTraceFlags(fs *flag.FlagSet) *TraceFlags {
+// RegisterStreamFlags adds -record, -replay, -lenient, and -deadline to
+// fs: the flags of a tool that reads the event stream but keeps no
+// profiling state, so a memory budget or sketches would have nothing to
+// govern (leaving them unregistered makes the flag package reject them
+// with usage text and exit 2).
+func RegisterStreamFlags(fs *flag.FlagSet) *TraceFlags {
 	t := &TraceFlags{}
 	fs.StringVar(&t.Record, "record", "",
 		"also record the probe trace of the live workload run to this file")
@@ -187,6 +191,13 @@ func RegisterTraceFlags(fs *flag.FlagSet) *TraceFlags {
 		"tolerate corrupt frames in the -replay trace: skip damage, salvage the rest (exit code 2 if events were lost)")
 	fs.DurationVar(&t.Deadline, "deadline", 0,
 		"total time budget (e.g. 30s) shared by all passes over the event stream; an overrunning pass stops and reports the partial result (exit code 2)")
+	return t
+}
+
+// RegisterTraceFlags adds the stream flags plus -mem-budget and -approx,
+// which govern the tool's profiling passes (see ProfilePass).
+func RegisterTraceFlags(fs *flag.FlagSet) *TraceFlags {
+	t := RegisterStreamFlags(fs)
 	fs.Var(sizeFlag{&t.MemBudget}, "mem-budget",
 		"memory budget (e.g. 64M) shared by all profiling passes; over budget the pipeline degrades (full -> object-sampled -> sketch-stride -> sketch-counters -> stride-only -> counters) and the tool exits 2 with partial output (0 = unlimited)")
 	fs.BoolVar(&t.Approx, "approx", false,
@@ -215,9 +226,9 @@ type Events struct {
 	deadline  time.Duration
 	budget    time.Time      // absolute cutoff shared by all passes; set at the first pass
 	stats     tracefmt.Stats // reader stats from the most recent replay pass
-	memBudget int64          // memory budget shared by all governed passes
-	approx    bool           // start governed passes at the sketch-stride rung
-	govBudget *govern.Budget // lazily created parent budget; see GovernedPass
+	memBudget int64          // -mem-budget; 0 = unlimited
+	approx    bool           // -approx: start profiling passes at the sketch-stride rung
+	mem       *govern.Budget // lazily created parent budget; see memory
 
 	workload string           // live mode: the selected workload name
 	wcfg     workloads.Config // live mode: its configuration
@@ -364,22 +375,6 @@ func (ev *Events) Pass(sink trace.Sink) (int, error) {
 // pass — in lenient mode this is the damage report (skipped frames, skipped
 // events, corruption incidents). Zero for live streams.
 func (ev *Events) Stats() tracefmt.Stats { return ev.stats }
-
-// Translate runs one pass through a fresh OMC and returns the
-// object-relative record stream plus the OMC. A salvaged pass (lenient
-// corruption skip, deadline overrun) still returns the partial record
-// stream alongside its error; only hard failures return nil.
-func (ev *Events) Translate() ([]profiler.Record, *omc.OMC, error) {
-	o := omc.New(ev.Sites)
-	col := &profiler.Collector{}
-	cdc := profiler.NewCDC(o, col)
-	_, err := ev.Pass(cdc)
-	if err != nil && !Salvaged(err) {
-		return nil, nil, err
-	}
-	cdc.Finish()
-	return col.Records, o, err
-}
 
 // Replayed reports whether the events come from a recorded trace file.
 func (ev *Events) Replayed() bool { return ev.path != "" }

@@ -1,18 +1,24 @@
 package cliutil
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"ormprof/internal/faultinject"
+	"ormprof/internal/govern"
+	"ormprof/internal/omc"
 	"ormprof/internal/profiler"
 	"ormprof/internal/trace"
 	"ormprof/internal/tracefmt"
+	"ormprof/internal/whomp"
 	"ormprof/internal/workloads"
 )
 
@@ -116,14 +122,15 @@ func TestLiveRecordReplayAgree(t *testing.T) {
 	}
 
 	// Translations agree record-for-record.
-	liveRecs, _, err := live.Translate()
+	liveTr, err := live.Translate(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repRecs, _, err := rep.Translate()
+	repTr, err := rep.Translate(42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	liveRecs, repRecs := liveTr.Records, repTr.Records
 	if len(liveRecs) != len(repRecs) {
 		t.Fatalf("translate: live %d records, replay %d", len(liveRecs), len(repRecs))
 	}
@@ -326,5 +333,111 @@ func TestDeadlineSharedAcrossPasses(t *testing.T) {
 		if _, err := ev2.Pass(trace.Discard); err != nil {
 			t.Fatalf("pass %d without deadline: %v", i, err)
 		}
+	}
+}
+
+// TestProfilePassOnePath runs the one profiling path at -workers 4, once
+// unbudgeted and once under a budget no pass can reach. The unbudgeted
+// pass drains straight into a parallel full mode held by its ladder (the
+// ladder sees no event); the budgeted pass drains through the ladder at
+// one worker. Both yield byte-identical profiles, and only the budgeted
+// run's Finish writes a governance report.
+func TestProfilePassOnePath(t *testing.T) {
+	cfg := workloads.Config{Scale: 1, Seed: 42}
+	var profiles [2]bytes.Buffer
+	for i, budget := range []int64{0, 64 << 30} {
+		ev, err := (&TraceFlags{MemBudget: budget}).Load("197.parser", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := 0
+		lad, n, err := ev.ProfilePass(42, 4, func(w int) govern.Mode {
+			built = w
+			return whomp.NewParallel(ev.Sites, w)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWorkers, wantEmitted := 4, uint64(0)
+		if budget > 0 {
+			wantWorkers, wantEmitted = 1, uint64(n)
+		}
+		if built != wantWorkers {
+			t.Errorf("budget %d: full mode built with %d workers, want %d", budget, built, wantWorkers)
+		}
+		if got := lad.Events(); got != wantEmitted {
+			t.Errorf("budget %d: ladder emitted %d of %d events, want %d", budget, got, n, wantEmitted)
+		}
+		wp, ok := lad.FullMode().(*whomp.Profiler)
+		if !ok {
+			t.Fatalf("budget %d: ladder left full mode (rung %s)", budget, lad.Rung())
+		}
+		if _, err := wp.Profile(ev.Name).WriteTo(&profiles[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := wp.Err(); err != nil {
+			t.Fatal(err)
+		}
+
+		var report bytes.Buffer
+		var deg Degraded
+		if err := ev.Finish(&report, &deg, lad); err != nil {
+			t.Fatalf("budget %d: Finish = %v", budget, err)
+		}
+		if got := report.String(); budget == 0 && got != "" {
+			t.Errorf("unbudgeted Finish wrote %q", got)
+		} else if budget > 0 && !strings.HasPrefix(got, "# resource governance\nmode full\n") {
+			t.Errorf("roomy-budget Finish wrote %q", got)
+		}
+	}
+	if !bytes.Equal(profiles[0].Bytes(), profiles[1].Bytes()) {
+		t.Error("unbudgeted parallel profile differs from the roomy-budget sequential one")
+	}
+}
+
+// shardedMode is a parallel full mode for TestProfilePassWorkerPanicExits2:
+// OMC translation fanned out to sharded workers.
+type shardedMode struct {
+	cdc *profiler.CDC
+	sh  *profiler.Sharded
+}
+
+func (m shardedMode) Emit(e trace.Event) { m.cdc.Emit(e) }
+func (m shardedMode) Footprint() int64   { return 0 }
+
+// TestProfilePassWorkerPanicExits2: a worker panic inside the parallel
+// full mode an unbudgeted ladder holds is contained, surfaces from the
+// mode's Err after the pass, and Finish turns it into exit code 2 with no
+// governance report.
+func TestProfilePassWorkerPanicExits2(t *testing.T) {
+	ev, err := (&TraceFlags{}).Load("linkedlist", workloads.Config{Scale: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lad, _, err := ev.ProfilePass(42, 4, func(w int) govern.Mode {
+		sh := profiler.NewSharded(w, 16, func(profiler.Record, int) int { return 0 }, func(int) profiler.SCC {
+			return faultinject.PanicSCC(&profiler.Collector{}, 3)
+		})
+		return shardedMode{cdc: profiler.NewCDC(omc.New(ev.Sites), sh), sh: sh}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deg Degraded
+	m := lad.FullMode().(shardedMode)
+	m.cdc.Finish()
+	var we *profiler.WorkerError
+	if err := m.sh.Err(); !errors.As(err, &we) {
+		t.Fatalf("mode Err = %v, want *profiler.WorkerError", err)
+	} else if err := deg.Check(err); err != nil {
+		t.Fatalf("worker panic treated as a hard failure: %v", err)
+	}
+	var report bytes.Buffer
+	err = ev.Finish(&report, &deg, lad)
+	if code := ExitCode(err); code != 2 {
+		t.Errorf("ExitCode(%v) = %d, want 2", err, code)
+	}
+	if report.Len() != 0 {
+		t.Errorf("unbudgeted Finish wrote %q", report.String())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"ormprof/internal/govern"
+	"ormprof/internal/layout"
 	"ormprof/internal/omc"
 	"ormprof/internal/profiler"
 	"ormprof/internal/trace"
@@ -44,36 +45,45 @@ func SizeFlag(fs *flag.FlagSet, name, usage string) *int64 {
 	return n
 }
 
-// Governed reports whether -mem-budget or -approx was set: governed tools
-// should use the sequential ladder path (trip points are deterministic
-// only on a sequential pipeline) and render the governance report.
-func (ev *Events) Governed() bool { return ev.memBudget > 0 || ev.approx }
+// governed reports whether -mem-budget or -approx was set. It is the one
+// place a tool's behaviour depends on those flags; see ProfilePass and
+// Finish for the four decisions it drives.
+func (ev *Events) governed() bool { return ev.memBudget > 0 || ev.approx }
 
-// MemBudget reports the configured memory budget (0 = unlimited).
-func (ev *Events) MemBudget() int64 { return ev.memBudget }
+// memory returns the invocation's memory budget, created on first use.
+// Like -deadline, -mem-budget bounds the tool's total footprint, not each
+// pass's, so every pass accounts into this one parent.
+func (ev *Events) memory() *govern.Budget {
+	if ev.mem == nil {
+		ev.mem = govern.NewBudget(ev.memBudget)
+	}
+	return ev.mem
+}
 
-// Approx reports whether -approx was set: governed passes start at the
-// sketch-stride rung and the report carries error bounds instead of exact
-// profiles.
-func (ev *Events) Approx() bool { return ev.approx }
-
-// GovernedPass streams one complete pass through a degradation ladder
-// built around full. All governed passes of the invocation share one
-// parent budget — like -deadline, -mem-budget bounds the tool's total
-// footprint, not each pass's — so a second pass's structures count
-// against what the first pass still holds live.
+// ProfilePass streams one complete pass of the event stream into a
+// degradation ladder built around full, the tool's full profiling mode,
+// and returns the ladder with the pass's event count and error. Callers
+// read the output from ladder.FullMode() — nil once a budget has pushed
+// the ladder below the sampled rung — and end with Finish.
 //
-// The returned error is the pass error (corruption, deadline), not the
-// degradation: check ladder.Err() separately, typically feeding both
-// through Degraded.Check so partial output still renders before exit 2.
-func (ev *Events) GovernedPass(seed uint64, full func() govern.Mode) (*govern.Ladder, int, error) {
-	if ev.govBudget == nil {
-		ev.govBudget = govern.NewBudget(ev.memBudget)
+// Without -mem-budget and -approx the ladder can never trip, so events
+// drain straight into its mode at the given worker count (≤ 0 selects
+// GOMAXPROCS) and the pass costs what the bare mode costs. With either
+// flag, events drain through the ladder and full is built with one
+// worker: trip points are then a pure function of (stream, budget,
+// seed), and the output is identical for every -workers setting.
+//
+// The error is the pass error (corruption, deadline, panic), not the
+// degradation, which Finish folds in after the output has rendered.
+func (ev *Events) ProfilePass(seed uint64, workers int, full func(workers int) govern.Mode) (*govern.Ladder, int, error) {
+	governed := ev.governed()
+	if governed {
+		workers = 1
 	}
 	cfg := govern.Config{
-		Budget: ev.govBudget.Sub(0),
+		Budget: ev.memory().Sub(0),
 		Seed:   seed,
-		Full:   full,
+		Full:   func() govern.Mode { return full(workers) },
 	}
 	if ev.approx {
 		// -approx: skip the exact rungs entirely. The ladder starts on the
@@ -82,57 +92,124 @@ func (ev *Events) GovernedPass(seed uint64, full func() govern.Mode) (*govern.La
 		cfg.StartRung = govern.RungSketchStride
 	}
 	lad := govern.NewLadder(cfg)
-	n, err := ev.Pass(lad)
+	var sink trace.Sink = lad
+	if !governed {
+		sink = lad.Mode()
+	}
+	n, err := ev.Pass(sink)
 	return lad, n, err
+}
+
+// Finish ends a tool's output. Under -mem-budget or -approx it appends
+// each ladder's governance report — deterministic, so output stays
+// byte-comparable across worker counts — and folds each ladder's
+// degradation into deg. It returns deg.Err(): nil, or the first salvaged
+// error, which makes the tool exit 2.
+func (ev *Events) Finish(w io.Writer, deg *Degraded, lads ...*govern.Ladder) error {
+	if ev.governed() {
+		for _, lad := range lads {
+			if err := lad.WriteReport(w); err != nil {
+				return err
+			}
+		}
+		for _, lad := range lads {
+			if err := deg.Check(lad.Err()); err != nil {
+				return err
+			}
+		}
+	}
+	return deg.Err()
 }
 
 // translateMode is the govern.Mode for tools whose pipeline starts from a
 // materialized object-relative record stream: OMC translation plus a
-// record collector.
+// record collector, and optionally the streaming layout planner riding the
+// same records (so a tight budget degrades plan derivation through the
+// ladder instead of OOMing).
 type translateMode struct {
-	o   *omc.OMC
-	col *profiler.Collector
-	cdc *profiler.CDC
+	o       *omc.OMC
+	col     *profiler.Collector
+	planner *layout.Planner // nil unless deriving a layout
+	cdc     *profiler.CDC
 }
 
-func newTranslateMode(sites map[trace.SiteID]string) *translateMode {
-	o := omc.New(sites)
-	col := &profiler.Collector{}
-	return &translateMode{o: o, col: col, cdc: profiler.NewCDC(o, col)}
+func newTranslateMode(sites map[trace.SiteID]string, plan bool) *translateMode {
+	m := &translateMode{o: omc.New(sites), col: &profiler.Collector{}}
+	if plan {
+		m.planner = layout.NewPlanner()
+		m.cdc = profiler.NewCDC(m.o, fanout{m.col, m.planner})
+	} else {
+		m.cdc = profiler.NewCDC(m.o, m.col)
+	}
+	return m
 }
 
 func (m *translateMode) Emit(e trace.Event) { m.cdc.Emit(e) }
-func (m *translateMode) Footprint() int64   { return m.o.Footprint() + m.col.Footprint() }
 
-// TranslateGoverned is Translate under a memory budget: it returns the
-// ladder alongside the records. If the budget forced the ladder below the
-// sampled rung, the record stream is gone — records and OMC come back nil
-// and the caller renders the ladder's own report instead. The error is
-// the pass error; degradation is ladder.Err().
-func (ev *Events) TranslateGoverned(seed uint64) (*govern.Ladder, []profiler.Record, *omc.OMC, error) {
-	lad, _, err := ev.GovernedPass(seed, func() govern.Mode { return newTranslateMode(ev.Sites) })
-	if err != nil && !Salvaged(err) {
-		return nil, nil, nil, err
+func (m *translateMode) Footprint() int64 {
+	n := m.o.Footprint() + m.col.Footprint()
+	if m.planner != nil {
+		n += m.planner.Footprint()
 	}
-	if m, ok := lad.FullMode().(*translateMode); ok {
-		m.cdc.Finish()
-		return lad, m.col.Records, m.o, err
-	}
-	return lad, nil, nil, err
+	return n
 }
 
-// WriteGovernance renders each ladder's governance report to w — the
-// standard tail section of a governed tool's output. Reports are
-// deterministic, so governed output remains byte-comparable across
-// worker counts and restarts.
-func WriteGovernance(w io.Writer, lads ...*govern.Ladder) error {
-	for _, lad := range lads {
-		if lad == nil {
-			continue
-		}
-		if err := lad.WriteReport(w); err != nil {
-			return err
-		}
+// fanout duplicates the object-relative record stream to several SCCs, so
+// plan derivation happens in the same single pass that collects the
+// record stream.
+type fanout []profiler.SCC
+
+// Consume implements profiler.SCC.
+func (f fanout) Consume(r profiler.Record) {
+	for _, s := range f {
+		s.Consume(r)
 	}
-	return nil
+}
+
+// Finish implements profiler.SCC.
+func (f fanout) Finish() {
+	for _, s := range f {
+		s.Finish()
+	}
+}
+
+// Translation is the output of a translate pass: the materialized record
+// stream and the object table, plus the streaming planner that watched the
+// same pass when a layout was derived. When a budget degraded the pass
+// below the sampled rung the stream is gone — OMC is nil and only Ladder
+// renders.
+type Translation struct {
+	Ladder  *govern.Ladder
+	Records []profiler.Record
+	OMC     *omc.OMC
+	Planner *layout.Planner // nil unless from DeriveLayout
+	Events  int
+}
+
+// Translate runs one pass through a fresh OMC and returns the
+// object-relative record stream. The returned error follows the Pass
+// convention: a salvaged pass (lenient corruption skip, deadline overrun)
+// still returns the partial stream alongside its error; only hard
+// failures return nil.
+func (ev *Events) Translate(seed uint64) (*Translation, error) {
+	return ev.translate(seed, false)
+}
+
+// DeriveLayout is Translate with the streaming layout planner riding the
+// record stream.
+func (ev *Events) DeriveLayout(seed uint64) (*Translation, error) {
+	return ev.translate(seed, true)
+}
+
+func (ev *Events) translate(seed uint64, plan bool) (*Translation, error) {
+	lad, n, err := ev.ProfilePass(seed, 1, func(int) govern.Mode { return newTranslateMode(ev.Sites, plan) })
+	if err != nil && !Salvaged(err) {
+		return nil, err
+	}
+	t := &Translation{Ladder: lad, Events: n}
+	if m, ok := lad.FullMode().(*translateMode); ok {
+		m.cdc.Finish()
+		t.Records, t.OMC, t.Planner = m.col.Records, m.o, m.planner
+	}
+	return t, err
 }

@@ -20,99 +20,19 @@ import (
 	"ormprof/internal/layout"
 	"ormprof/internal/leap"
 	"ormprof/internal/memsim"
-	"ormprof/internal/omc"
 	"ormprof/internal/plan"
 	"ormprof/internal/prefetch"
-	"ormprof/internal/profiler"
 	"ormprof/internal/report"
 	"ormprof/internal/trace"
 )
-
-// fanout duplicates the object-relative record stream to several SCCs, so
-// the optimize pass derives its plan in the same single pass that collects
-// the record stream.
-type fanout []profiler.SCC
-
-// Consume implements profiler.SCC.
-func (f fanout) Consume(r profiler.Record) {
-	for _, s := range f {
-		s.Consume(r)
-	}
-}
-
-// Finish implements profiler.SCC.
-func (f fanout) Finish() {
-	for _, s := range f {
-		s.Finish()
-	}
-}
-
-// optimizeMode is translateMode plus the streaming layout planner: the
-// governed optimize pass accounts the planner's histograms and first-touch
-// table alongside the OMC and the record collector, so a tight budget
-// degrades plan derivation through the ladder instead of OOMing.
-type optimizeMode struct {
-	o       *omc.OMC
-	col     *profiler.Collector
-	planner *layout.Planner
-	cdc     *profiler.CDC
-}
-
-func newOptimizeMode(sites map[trace.SiteID]string) *optimizeMode {
-	o := omc.New(sites)
-	col := &profiler.Collector{}
-	p := layout.NewPlanner()
-	return &optimizeMode{o: o, col: col, planner: p, cdc: profiler.NewCDC(o, fanout{col, p})}
-}
-
-func (m *optimizeMode) Emit(e trace.Event) { m.cdc.Emit(e) }
-func (m *optimizeMode) Footprint() int64 {
-	return m.o.Footprint() + m.col.Footprint() + m.planner.Footprint()
-}
-
-// Derived is the output of the shared plan-derivation pass: the
-// materialized record stream, the object table, and the streaming planner
-// that watched the same pass. On a governed run that degraded below the
-// full rung the stream is gone — OMC is nil and only Ladder renders.
-type Derived struct {
-	Ladder  *govern.Ladder // non-nil on governed runs
-	Records []profiler.Record
-	OMC     *omc.OMC
-	Planner *layout.Planner
-	Events  int
-}
-
-// DeriveLayout runs one translate pass with the streaming layout planner
-// riding the record fan-out. The returned error follows the Pass
-// convention: salvaged errors come back alongside partial results.
-func (ev *Events) DeriveLayout(seed uint64) (*Derived, error) {
-	if ev.Governed() {
-		lad, n, err := ev.GovernedPass(seed, func() govern.Mode { return newOptimizeMode(ev.Sites) })
-		if err != nil && !Salvaged(err) {
-			return nil, err
-		}
-		d := &Derived{Ladder: lad, Events: n}
-		if m, ok := lad.FullMode().(*optimizeMode); ok {
-			m.cdc.Finish()
-			d.Records, d.OMC, d.Planner = m.col.Records, m.o, m.planner
-		}
-		return d, err
-	}
-	m := newOptimizeMode(ev.Sites)
-	n, err := ev.Pass(m)
-	if err != nil && !Salvaged(err) {
-		return nil, err
-	}
-	m.cdc.Finish()
-	return &Derived{Records: m.col.Records, OMC: m.o, Planner: m.planner, Events: n}, err
-}
 
 // OptimizeConfig parameterizes the optimize pipeline.
 type OptimizeConfig struct {
 	// Workers parallelizes the LEAP prefetch-analysis pass; results are
 	// identical for any count.
 	Workers int
-	// Seed drives the governed ladder's deterministic site sampling.
+	// Seed drives the ladders' deterministic site sampling under a
+	// memory budget.
 	Seed uint64
 	// Lookahead is the prefetch lookahead distance in strides
 	// (0 = prefetch.DefaultLookahead).
@@ -134,8 +54,9 @@ type OptimizeResult struct {
 	Events   int // probe events in the profiling pass
 	Accesses int // translated object-relative records
 
-	// Plan is the derived layout plan; nil when a governed run degraded
-	// below the full rung and no plan could be built.
+	// Plan is the derived layout plan; nil when a memory budget degraded
+	// the derivation pass below the sampled rung and no plan could be
+	// built.
 	Plan      *plan.Plan
 	PlanBytes int
 	PlanPath  string
@@ -155,9 +76,10 @@ type OptimizeResult struct {
 	EvalNote string
 	EvalErr  error
 
-	// Ladders holds the governance ladders of the governed passes, for
-	// WriteGovernance and exit-code accounting.
+	// Ladders holds the ladders of the profiling passes, for Finish.
 	Ladders []*govern.Ladder
+
+	ev *Events
 }
 
 // optLevels is the evaluation hierarchy: L1D backed by L2, as in
@@ -196,10 +118,7 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 	if err := deg.Check(err); err != nil {
 		return nil, err
 	}
-	res := &OptimizeResult{Name: ev.Name, Events: d.Events, Live: !ev.Replayed()}
-	if d.Ladder != nil {
-		res.Ladders = append(res.Ladders, d.Ladder)
-	}
+	res := &OptimizeResult{Name: ev.Name, Events: d.Events, Live: !ev.Replayed(), Ladders: []*govern.Ladder{d.Ladder}, ev: ev}
 	if d.OMC == nil {
 		return res, deg.Err() // degraded below full: no plan, governance only
 	}
@@ -209,21 +128,12 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 	// Pass 2: LEAP stride analysis for the plan's prefetch rules.
 	var rules []plan.PrefetchRule
 	lineBytes := int64(optLevels[0].LineBytes)
-	if ev.Governed() {
-		lad, _, err := ev.GovernedPass(cfg.Seed, func() govern.Mode { return leap.New(ev.Sites, 0) })
-		if err := deg.Check(err); err != nil {
-			return nil, err
-		}
-		res.Ladders = append(res.Ladders, lad)
-		if lp, ok := lad.FullMode().(*leap.Profiler); ok {
-			rules = prefetch.BuildPlan(lp.Profile(ev.Name), lineBytes, cfg.Lookahead).Rules()
-		}
-	} else {
-		lp := leap.NewParallel(ev.Sites, 0, cfg.Workers)
-		_, err := ev.Pass(lp)
-		if err := deg.Check(err); err != nil {
-			return nil, err
-		}
+	lad, _, err := ev.ProfilePass(cfg.Seed, cfg.Workers, func(w int) govern.Mode { return leap.NewParallel(ev.Sites, 0, w) })
+	if err := deg.Check(err); err != nil {
+		return nil, err
+	}
+	res.Ladders = append(res.Ladders, lad)
+	if lp, ok := lad.FullMode().(*leap.Profiler); ok {
 		lprof := lp.Profile(ev.Name)
 		if err := deg.Check(lp.Err()); err != nil {
 			return nil, err
@@ -250,36 +160,33 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 		res.PlanPath = cfg.PlanPath
 	}
 
-	// Evaluation phase: two hierarchies (before/after). Under a memory
-	// budget their worst-case footprint is charged up front — the geometry
-	// bounds it — degrading deterministically: drop the outer level, then
-	// skip evaluation entirely, rather than OOM.
+	// Evaluation phase: two hierarchies (before/after). Their worst-case
+	// footprint is charged against the memory budget up front — the
+	// geometry bounds it — degrading deterministically under a tight
+	// budget: drop the outer level, then skip evaluation entirely, rather
+	// than OOM.
 	levels, names := optLevels, optLevelNames
+	mem := ev.memory()
 	var charged int64
-	if ev.Governed() {
-		if ev.govBudget == nil {
-			ev.govBudget = govern.NewBudget(ev.memBudget)
+	for {
+		need := 2 * evalFootprint(levels)
+		mem.Add(need)
+		if !mem.Over() {
+			charged = need
+			break
 		}
-		for {
-			need := 2 * evalFootprint(levels)
-			ev.govBudget.Add(need)
-			if !ev.govBudget.Over() {
-				charged = need
-				break
-			}
-			ev.govBudget.Add(-need)
-			if len(levels) == 1 {
-				levels, names = nil, nil
-				res.EvalNote = "evaluation skipped (memory budget)"
-				break
-			}
-			levels, names = levels[:len(levels)-1], names[:len(names)-1]
-			res.EvalNote = fmt.Sprintf("evaluation degraded to %s only (memory budget)", names[len(names)-1])
+		mem.Add(-need)
+		if len(levels) == 1 {
+			levels, names = nil, nil
+			res.EvalNote = "evaluation skipped (memory budget)"
+			break
 		}
-		if res.EvalNote != "" {
-			res.EvalErr = &govern.DegradedError{Limit: ev.govBudget.EffectiveLimit(), Rung: govern.RungFull}
-			deg.Check(res.EvalErr) //nolint:errcheck // DegradedError is always salvaged
-		}
+		levels, names = levels[:len(levels)-1], names[:len(names)-1]
+		res.EvalNote = fmt.Sprintf("evaluation degraded to %s only (memory budget)", names[len(names)-1])
+	}
+	if res.EvalNote != "" {
+		res.EvalErr = &govern.DegradedError{Limit: mem.EffectiveLimit(), Rung: govern.RungFull}
+		deg.Check(res.EvalErr) //nolint:errcheck // DegradedError is always salvaged
 	}
 	if len(levels) > 0 {
 		before := cachesim.NewHierarchy(levels...)
@@ -313,9 +220,7 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 		}
 		lat := append(append([]float64{}, amatLatencies[:len(levels)]...), amatLatencies[len(amatLatencies)-1])
 		res.BeforeAMAT, res.AfterAMAT = before.AMAT(lat...), after.AMAT(lat...)
-		if charged != 0 {
-			ev.govBudget.Add(-charged)
-		}
+		mem.Add(-charged)
 	}
 	return res, deg.Err()
 }
@@ -333,16 +238,20 @@ func (r *OptimizeResult) DeltaTable() *report.Table {
 	return t
 }
 
+// Finish is Events.Finish for the optimize report, whose governance
+// section is set off from the report by a blank line.
+func (r *OptimizeResult) Finish(w io.Writer, deg *Degraded) error {
+	if r.ev.governed() {
+		fmt.Fprintln(w)
+	}
+	return r.ev.Finish(w, deg, r.Ladders...)
+}
+
 // WriteText renders the full human-readable report (governance excluded:
-// callers append it with WriteGovernance, keeping the tail section uniform
-// across tools).
+// Finish appends it, keeping the tail section uniform across tools).
 func (r *OptimizeResult) WriteText(w io.Writer) error {
 	if r.Plan == nil {
-		rung := "unknown"
-		if len(r.Ladders) > 0 {
-			rung = r.Ladders[0].Rung().String()
-		}
-		_, err := fmt.Fprintf(w, "workload %s: optimization unavailable (degraded to %s)\n", r.Name, rung)
+		_, err := fmt.Fprintf(w, "workload %s: optimization unavailable (degraded to %s)\n", r.Name, r.Ladders[0].Rung())
 		return err
 	}
 	fmt.Fprintf(w, "workload %s: %d events, %d accesses\n", r.Name, r.Events, r.Accesses)

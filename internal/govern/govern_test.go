@@ -3,6 +3,7 @@ package govern
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"ormprof/internal/trace"
@@ -87,6 +88,73 @@ func TestBudgetTree(t *testing.T) {
 	}
 	if got := global.Peak(); got != 960 {
 		t.Fatalf("global peak = %d, want 960", got)
+	}
+}
+
+// TestBudgetConcurrentSiblings: a daemon shares one parent budget across
+// session goroutines, each accounting into its own Sub(0) child while the
+// server reads the watermark. The tree must stay exact under that
+// concurrency: every child's Used is its own sum, the parent's Used is the
+// sum over children, and no peak falls below what it watched.
+func TestBudgetConcurrentSiblings(t *testing.T) {
+	const (
+		children = 8
+		rounds   = 2000
+	)
+	global := NewBudget(1 << 40)
+	subs := make([]*Budget, children)
+	want := make([]int64, children)
+	for i := range subs {
+		subs[i] = global.Sub(0)
+	}
+	var wg sync.WaitGroup
+	done, readerDone := make(chan struct{}), make(chan struct{})
+	go func() { // the server's side: read the shared watermark throughout
+		defer close(readerDone)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = global.Over()
+				_ = subs[0].WouldOver(1)
+			}
+		}
+	}()
+	for i := range subs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var sum int64
+			for r := 0; r < rounds; r++ {
+				grow := int64(8 * (i + 1 + r%5))
+				subs[i].Add(grow)
+				subs[i].Add(-grow / 2) // every prefix sum stays non-negative
+				sum += grow - grow/2
+			}
+			want[i] = sum
+		}(i)
+	}
+	wg.Wait()
+	close(done)
+	<-readerDone
+
+	var total, maxChildPeak int64
+	for i, b := range subs {
+		if got := b.Used(); got != want[i] {
+			t.Errorf("child %d used = %d, want %d", i, got, want[i])
+		}
+		if b.Peak() < b.Used() {
+			t.Errorf("child %d peak %d below used %d", i, b.Peak(), b.Used())
+		}
+		total += want[i]
+		maxChildPeak = max(maxChildPeak, b.Peak())
+	}
+	if got := global.Used(); got != total {
+		t.Errorf("parent used = %d, want the children's sum %d", got, total)
+	}
+	if global.Peak() < global.Used() || global.Peak() < maxChildPeak {
+		t.Errorf("parent peak %d below used %d or a child's peak %d", global.Peak(), global.Used(), maxChildPeak)
 	}
 }
 

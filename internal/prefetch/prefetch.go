@@ -89,15 +89,6 @@ func (p Plan) Rules() []ormplan.PrefetchRule {
 	return out
 }
 
-// FromRules rebuilds a plan from serialized ORMPLAN rules.
-func FromRules(rules []ormplan.PrefetchRule) Plan {
-	p := make(Plan, len(rules))
-	for _, r := range rules {
-		p[r.Instr] = Rule{Stride: r.Stride, Distance: r.Distance}
-	}
-	return p
-}
-
 // Result compares demand misses without and with prefetching.
 type Result struct {
 	Baseline   cachesim.Stats

@@ -82,14 +82,6 @@ func New(name string, cfg Config) (memsim.Program, error) {
 	}
 }
 
-// OptimizeNames lists the nine workloads the optimization loop is evaluated
-// on: the seven Table 1 benchmarks plus the two layout showcases — hotcold
-// (clustering visibly wins) and chase (provably unimprovable data-dependent
-// chasing).
-func OptimizeNames() []string {
-	return append(Names(), "hotcold", "chase")
-}
-
 // All constructs the seven benchmarks in Table 1 order.
 func All(cfg Config) []memsim.Program {
 	names := Names()

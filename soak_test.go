@@ -26,6 +26,7 @@ import (
 
 	"ormprof/internal/cliutil"
 	"ormprof/internal/faultinject"
+	"ormprof/internal/govern"
 	"ormprof/internal/leap"
 	"ormprof/internal/profiler"
 	"ormprof/internal/testutil"
@@ -86,11 +87,11 @@ func runLenientReplay(t *testing.T, dir string, data []byte, totalEvents int64) 
 			t.Fatalf("reader stats inconsistent: delivered %d of %d", st.Events, totalEvents)
 		}
 	}
-	wp := whomp.NewParallel(ev.Sites, 4)
-	_, err = ev.Pass(wp)
+	wlad, _, err := ev.ProfilePass(42, 4, func(w int) govern.Mode { return whomp.NewParallel(ev.Sites, w) })
+	wp := wlad.FullMode().(*whomp.Profiler)
 	check("whomp", err, wp.Profile(ev.Name).Records, wp.Err())
-	lp := leap.NewParallel(ev.Sites, 0, 4)
-	_, err = ev.Pass(lp)
+	llad, _, err := ev.ProfilePass(42, 4, func(w int) govern.Mode { return leap.NewParallel(ev.Sites, 0, w) })
+	lp := llad.FullMode().(*leap.Profiler)
 	check("leap", err, lp.Profile(ev.Name).Records, lp.Err())
 }
 
