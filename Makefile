@@ -140,7 +140,8 @@ vet:
 # Short fuzz pass over every decoder that parses untrusted bytes: the trace
 # reader, the profile/grammar decoders, and the ORMP/1 ingest paths (a live
 # server connection, and the router's routing path in front of a live
-# shard). ~$(FUZZTIME) per target.
+# shard); plus grammar snapshot/resume on arbitrary streams, the core of
+# every checkpoint. ~$(FUZZTIME) per target.
 fuzz-short:
 	$(GO) test -fuzz='^FuzzReader$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt/
 	$(GO) test -fuzz='^FuzzReaderResync$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt/
@@ -149,6 +150,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzReadProfile -fuzztime=$(FUZZTIME) ./internal/leap/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/sequitur/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/sequitur/
+	$(GO) test -fuzz='^FuzzSnapshotResume$$' -fuzztime=$(FUZZTIME) ./internal/sequitur/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=$(FUZZTIME) ./internal/soabtree/
 	$(GO) test -fuzz=FuzzPlanReader -fuzztime=$(FUZZTIME) ./internal/plan/
 	$(GO) test -fuzz='^FuzzSession$$' -fuzztime=$(FUZZTIME) ./internal/serve/

@@ -30,11 +30,21 @@ import (
 // EncodedSize returns the exact size in bytes of Encode's output without
 // materializing it.
 func (g *Grammar) EncodedSize() int {
+	return g.encodedSize(g.encodeOrder())
+}
+
+// encodeOrder returns the serialized rule order (ascending ID) and each
+// rule's index in it.
+func (g *Grammar) encodeOrder() ([]uint32, map[uint32]uint64) {
 	ids := g.RuleIDs()
 	idx := make(map[uint32]uint64, len(ids))
 	for i, id := range ids {
 		idx[id] = uint64(i)
 	}
+	return ids, idx
+}
+
+func (g *Grammar) encodedSize(ids []uint32, idx map[uint32]uint64) int {
 	n := uvarintLen(uint64(len(ids)))
 	for _, id := range ids {
 		r := g.rules[id]
@@ -61,12 +71,8 @@ func uvarintLen(v uint64) int {
 
 // Encode serializes the grammar.
 func (g *Grammar) Encode() []byte {
-	ids := g.RuleIDs()
-	idx := make(map[uint32]uint64, len(ids))
-	for i, id := range ids {
-		idx[id] = uint64(i)
-	}
-	buf := make([]byte, 0, g.EncodedSize())
+	ids, idx := g.encodeOrder()
+	buf := make([]byte, 0, g.encodedSize(ids, idx))
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		r := g.rules[id]

@@ -2,6 +2,7 @@ package sequitur
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -68,5 +69,64 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		dec.Expand() //nolint:errcheck // must only not panic
+	})
+}
+
+// FuzzSnapshotResume checks that a checkpoint is invisible: the fuzz bytes
+// become a small-alphabet stream, the first byte picks a cut point and
+// whether to shuffle the restored digram refs, and the grammar snapshotted
+// at the cut, restored and fed the rest must keep every invariant and end
+// in exactly the uninterrupted grammar's state: the same Encode bytes and
+// the same snapshot.
+func FuzzSnapshotResume(f *testing.F) {
+	f.Add([]byte{5, 'a', 'b', 'c', 'b', 'c', 'a', 'b', 'c', 'b', 'c'})
+	f.Add([]byte{0x83, 'a', 'a', 'a', 'a', 'a', 'a', 'a', 'a'})
+	f.Add(append([]byte{0xff}, bytes.Repeat([]byte{7, 7, 3, 1}, 30)...))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		ctl, data := data[0], data[1:]
+		in := make([]uint64, len(data))
+		for i, b := range data {
+			in[i] = uint64(b % 7)
+		}
+		cut := int(ctl&0x7f) * len(in) / 0x7f
+
+		full := New()
+		full.AppendAll(in)
+
+		g := New()
+		g.AppendAll(in[:cut])
+		snap, err := g.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot at %d: %v", cut, err)
+		}
+		if ctl&0x80 != 0 {
+			rng := rand.New(rand.NewSource(int64(len(data))))
+			rng.Shuffle(len(snap.Digrams), func(i, j int) {
+				snap.Digrams[i], snap.Digrams[j] = snap.Digrams[j], snap.Digrams[i]
+			})
+		}
+		restored, err := FromSnapshot(snap)
+		if err != nil {
+			t.Fatalf("FromSnapshot at %d: %v", cut, err)
+		}
+		restored.AppendAll(in[cut:])
+		if err := restored.CheckInvariants(); err != nil {
+			t.Fatalf("invariants after resume at %d: %v", cut, err)
+		}
+		if !bytes.Equal(restored.Encode(), full.Encode()) {
+			t.Fatalf("resume at %d differs from the uninterrupted grammar", cut)
+		}
+		want, err := full.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot of the uninterrupted grammar: %v", err)
+		}
+		if got, err := restored.Snapshot(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("resume at %d left different grammar state (err %v)", cut, err)
+		}
 	})
 }

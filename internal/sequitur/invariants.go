@@ -17,6 +17,7 @@ func (g *Grammar) CheckInvariants() error {
 	}
 	seen := make(map[digram]pos)
 	refs := make(map[uint32]int)
+	walked := 0
 
 	for id, r := range g.rules {
 		if r.ID != id {
@@ -50,6 +51,7 @@ func (g *Grammar) CheckInvariants() error {
 			}
 			i++
 		}
+		walked += i
 	}
 
 	for id, r := range g.rules {
@@ -65,10 +67,10 @@ func (g *Grammar) CheckInvariants() error {
 		}
 	}
 
-	// The incremental symbol count backing Footprint must agree with a
-	// full walk.
-	if n := g.Symbols(); n != g.symCount {
-		return fmt.Errorf("sequitur: incremental symbol count %d != walked count %d", g.symCount, n)
+	// The incremental symbol count backing Symbols and Footprint must agree
+	// with a full walk.
+	if walked != g.symCount {
+		return fmt.Errorf("sequitur: incremental symbol count %d != walked count %d", g.symCount, walked)
 	}
 
 	// The digram index must point at live, correctly keyed occurrences.

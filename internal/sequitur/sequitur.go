@@ -25,7 +25,11 @@
 // within one.
 package sequitur
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // symbol is one element of a rule body: either a terminal value or a
 // non-terminal reference to a rule. Each rule body is a circular
@@ -85,8 +89,8 @@ type Grammar struct {
 	digrams map[digram]*symbol
 	nextID  uint32
 	input   uint64 // terminals appended so far
-	// symCount tracks the live body symbols (== Symbols(), maintained
-	// incrementally so Footprint never walks the grammar).
+	// symCount tracks the live body symbols, maintained incrementally so
+	// Symbols and Footprint never walk the grammar.
 	symCount int
 }
 
@@ -289,14 +293,8 @@ func (g *Grammar) NumRules() int { return len(g.rules) }
 
 // Symbols reports the total number of symbols on the right-hand sides of all
 // rules — the standard Sequitur grammar-size metric the paper's compression
-// comparison uses.
-func (g *Grammar) Symbols() int {
-	n := 0
-	for _, r := range g.rules {
-		n += r.Len()
-	}
-	return n
-}
+// comparison uses. It is O(1): every mutation maintains the count.
+func (g *Grammar) Symbols() int { return g.symCount }
 
 // Expand regenerates the original input sequence from the grammar, proving
 // losslessness.
@@ -344,11 +342,7 @@ func (g *Grammar) RuleIDs() []uint32 {
 	for id := range g.rules {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }
 
@@ -365,20 +359,19 @@ func (g *Grammar) RuleUses(id uint32) int {
 // String renders the grammar in the paper's "S → AA; A → aBB; B → bc" style
 // with numeric IDs: rule 0 is S.
 func (g *Grammar) String() string {
-	out := ""
-	for _, id := range g.RuleIDs() {
-		body, _ := g.RuleBody(id)
-		if out != "" {
-			out += "; "
+	var out strings.Builder
+	for i, id := range g.RuleIDs() {
+		if i > 0 {
+			out.WriteString("; ")
 		}
-		out += fmt.Sprintf("R%d →", id)
-		for _, s := range body {
-			if s.IsRule {
-				out += fmt.Sprintf(" R%d", s.Value)
+		fmt.Fprintf(&out, "R%d →", id)
+		for s := g.rules[id].first(); !s.guard; s = s.next {
+			if s.rule != nil {
+				fmt.Fprintf(&out, " R%d", s.rule.ID)
 			} else {
-				out += fmt.Sprintf(" %d", s.Value)
+				fmt.Fprintf(&out, " %d", s.term)
 			}
 		}
 	}
-	return out
+	return out.String()
 }

@@ -239,11 +239,19 @@ func TestCompressionOnRepetitive(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	g := New()
-	g.AppendAll(fromString("abab"))
-	s := g.String()
-	if s == "" {
-		t.Fatal("String() returned empty grammar rendering")
+	for _, tc := range []struct {
+		in   []uint64
+		want string
+	}{
+		{nil, "R0 →"},
+		{fromString("abcbcabcbc"), "R0 → R3 R3; R1 → 98 99; R3 → 97 R1 R1"},
+		{[]uint64{5, 6, 5, 6, 5, 6, 7, 5, 6, 7, 900, 900}, "R0 → R1 R1 R2 R2 900 900; R1 → 5 6; R2 → R1 7"},
+	} {
+		g := New()
+		g.AppendAll(tc.in)
+		if got := g.String(); got != tc.want {
+			t.Errorf("String() of %v = %q, want %q", tc.in, got, tc.want)
+		}
 	}
 }
 

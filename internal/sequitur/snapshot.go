@@ -1,9 +1,6 @@
 package sequitur
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file implements exact grammar snapshots: an exported, pure-data view
 // of every piece of mutable Grammar state, sufficient to reconstruct a
@@ -45,49 +42,62 @@ type Snapshot struct {
 	Digrams []DigramRef
 }
 
-// Snapshot captures the grammar's complete state. It fails only if the
-// internal invariants are broken (a digram index entry pointing at an
-// unlinked symbol), which would make any snapshot unsound.
+// Snapshot captures the grammar's complete state in one walk of the rule
+// bodies. It fails only if the internal invariants are broken (a digram
+// index entry pointing at an unlinked symbol, or keyed by a digram its
+// symbol no longer starts), which would make any snapshot unsound.
 func (g *Grammar) Snapshot() (*Snapshot, error) {
+	ids := g.RuleIDs()
 	snap := &Snapshot{
-		NextID: g.nextID,
-		Input:  g.input,
-		Rules:  make([]SnapshotRule, 0, len(g.rules)),
+		NextID:  g.nextID,
+		Input:   g.input,
+		Rules:   make([]SnapshotRule, len(ids)),
+		Digrams: make([]DigramRef, 0, len(g.digrams)),
 	}
-	// Walk every rule body once, recording each symbol's location so the
-	// digram index can be expressed positionally.
-	loc := make(map[*symbol]DigramRef, g.Symbols())
-	for _, id := range g.RuleIDs() {
-		r := g.rules[id]
-		body := make([]Sym, 0, 8)
-		i := uint32(0)
-		for s := r.first(); !s.guard; s = s.next {
+	// Every body is a full-capacity window of one backing array, so an
+	// append to one body can never clobber the next.
+	syms := make([]Sym, 0, g.symCount)
+	// Rules in ascending ID order, each body front to back: the canonical
+	// digram occurrences come out already sorted by (Rule, Pos).
+	for i, id := range ids {
+		from, pos := len(syms), uint32(0)
+		for s := g.rules[id].first(); !s.guard; s = s.next {
 			v, isRule := value(s)
-			body = append(body, Sym{Value: v, IsRule: isRule})
-			loc[s] = DigramRef{Rule: id, Pos: i}
-			i++
+			syms = append(syms, Sym{Value: v, IsRule: isRule})
+			if !s.next.guard && g.digrams[key(s)] == s {
+				snap.Digrams = append(snap.Digrams, DigramRef{Rule: id, Pos: pos})
+			}
+			pos++
 		}
-		snap.Rules = append(snap.Rules, SnapshotRule{ID: id, Body: body})
+		snap.Rules[i] = SnapshotRule{ID: id, Body: syms[from:len(syms):len(syms)]}
 	}
-	snap.Digrams = make([]DigramRef, 0, len(g.digrams))
-	for k, s := range g.digrams {
-		ref, ok := loc[s]
-		if !ok {
-			return nil, fmt.Errorf("sequitur: digram index entry %v points at an unlinked symbol", k)
-		}
-		if key(s) != k {
-			return nil, fmt.Errorf("sequitur: digram index entry %v is stale (symbol now keys %v)", k, key(s))
-		}
-		snap.Digrams = append(snap.Digrams, ref)
+	// Each ref accounts for a distinct index entry, so a short count means
+	// some entry no live, correctly keyed occurrence accounts for.
+	if len(snap.Digrams) != len(g.digrams) {
+		return nil, g.brokenIndex()
 	}
-	sort.Slice(snap.Digrams, func(i, j int) bool {
-		a, b := snap.Digrams[i], snap.Digrams[j]
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Pos < b.Pos
-	})
 	return snap, nil
+}
+
+// brokenIndex names a digram index entry that Snapshot's walk did not
+// account for. It runs only on a broken grammar, so it can afford a second
+// walk.
+func (g *Grammar) brokenIndex() error {
+	linked := make(map[*symbol]bool, g.symCount)
+	for _, r := range g.rules {
+		for s := r.first(); !s.guard; s = s.next {
+			linked[s] = true
+		}
+	}
+	for k, s := range g.digrams {
+		switch {
+		case !linked[s]:
+			return fmt.Errorf("sequitur: digram index entry %v points at an unlinked symbol", k)
+		case key(s) != k:
+			return fmt.Errorf("sequitur: digram index entry %v is stale (symbol now keys %v)", k, key(s))
+		}
+	}
+	return fmt.Errorf("sequitur: digram index has %d entries but the rule bodies account for fewer", len(g.digrams))
 }
 
 // FromSnapshot reconstructs a grammar from a snapshot. The result is
@@ -148,17 +158,24 @@ func FromSnapshot(snap *Snapshot) (*Grammar, error) {
 			r.guard.prev = s
 		}
 	}
-	// Pass 3: restore the digram index positionally.
+	// Pass 3: restore the digram index positionally. A cursor walks each
+	// rule forward, so refs in (Rule, Pos) order — Snapshot's order — cost
+	// one walk of the grammar; an out-of-order ref restarts the cursor at
+	// its rule's head.
+	var (
+		cur *Rule
+		s   *symbol
+		pos uint32
+	)
 	for _, ref := range snap.Digrams {
-		r, ok := g.rules[ref.Rule]
-		if !ok {
-			return nil, fmt.Errorf("sequitur: digram ref names missing rule %d", ref.Rule)
-		}
-		s := r.first()
-		for i := uint32(0); i < ref.Pos; i++ {
-			if s.guard {
-				break
+		if cur == nil || ref.Rule != cur.ID || ref.Pos < pos {
+			r, ok := g.rules[ref.Rule]
+			if !ok {
+				return nil, fmt.Errorf("sequitur: digram ref names missing rule %d", ref.Rule)
 			}
+			cur, s, pos = r, r.first(), 0
+		}
+		for ; pos < ref.Pos && !s.guard; pos++ {
 			s = s.next
 		}
 		if s.guard || s.next.guard {

@@ -629,8 +629,9 @@ func (c *Cluster) migrate(r *Router, id string, src, dst *clusterShard) error {
 	}
 	state, err := src.srv.Handoff(id)
 	if errors.Is(err, errUnknownSession) {
-		// The session completed between the movers scan and its handoff:
-		// its final state is already durable at src — nothing to move.
+		// The session completed, or began completing, between the movers
+		// scan and its handoff: its final state is durable at src, or
+		// about to be — nothing to move.
 		return nil
 	}
 	if err != nil {

@@ -37,9 +37,10 @@ import (
 )
 
 // errUnknownSession marks a handoff target this server holds no state
-// for. An orchestrator that scanned SessionIDs moments ago matches on it
-// to tell "the session completed in the meantime" (benign — its final
-// state is already durable here) from a real migration failure.
+// for, or whose completion is already under way. An orchestrator that
+// scanned SessionIDs moments ago matches on it to tell "the session
+// completed in the meantime" (benign — its final state is durable here,
+// or about to be) from a real migration failure.
 var errUnknownSession = errors.New("serve: unknown session")
 
 // SessionIDs lists every session this server holds state for: live,
@@ -75,7 +76,7 @@ func (s *Server) Handoff(id string) (*checkpoint.State, error) {
 	}
 	st, live := s.sessions[id]
 	ck, resumed := s.resumed[id]
-	if !live && !resumed {
+	if (!live && !resumed) || (live && st.finishing) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w %q", errUnknownSession, id)
 	}

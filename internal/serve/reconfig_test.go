@@ -267,11 +267,19 @@ func TestApplyTableGuards(t *testing.T) {
 // incomplete parked session on the server. Returns the acked cursor.
 func rawSession(t *testing.T, addr, id string, frames SliceFrames, sites map[trace.SiteID]string, n int) uint64 {
 	t.Helper()
+	conn, _, _, acked := openRawSession(t, addr, id, frames, sites, n)
+	conn.Close()
+	return acked
+}
+
+// openRawSession is rawSession without the hangup: the connection stays
+// open, owning the session, for the caller to continue or close.
+func openRawSession(t *testing.T, addr, id string, frames SliceFrames, sites map[trace.SiteID]string, n int) (net.Conn, *bufio.Reader, *bufio.Writer, uint64) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
 	bw.WriteString(ProtoMagic)
@@ -312,7 +320,7 @@ func rawSession(t *testing.T, addr, id string, frames SliceFrames, sites map[tra
 			acked = v
 		}
 	}
-	return acked
+	return conn, br, bw, acked
 }
 
 // TestHandoffAdoptForget: the shard-side migration triple moves a parked
@@ -392,6 +400,89 @@ func TestHandoffAdoptForget(t *testing.T) {
 	}
 	if ents, _ := os.ReadDir(finalB); len(ents) != 1 {
 		t.Errorf("destination wrote %d final state(s), want 1", len(ents))
+	}
+}
+
+// TestFinishExcludesHandoff: a session completes on exactly one shard
+// when its Done races a migration. A Done that arrives after a handoff
+// has marked the session migrating completes nothing here, so the client
+// finishes on the destination; a handoff that arrives after the session
+// claimed its completion leaves it to finish here.
+func TestFinishExcludesHandoff(t *testing.T) {
+	testutil.LeakCheck(t)
+	frames, sites, _ := makeFrames(t, "linkedlist", 64)
+	n := len(frames)
+	finalA := filepath.Join(t.TempDir(), "finalA")
+	finalB := filepath.Join(t.TempDir(), "finalB")
+	srcSrv := startServer(t, Config{CheckpointEvery: 1, FinalDir: finalA})
+	dstSrv := startServer(t, Config{CheckpointEvery: 1, FinalDir: finalB})
+	finals := func(dir string) int {
+		ents, _ := os.ReadDir(dir)
+		return len(ents)
+	}
+	sendDone := func(bw *bufio.Writer) {
+		if err := writeMsg(bw, MsgDone, uvarintBody(uint64(n))); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Done after the migrating mark: Handoff has marked the session and
+	// not yet closed its connection when the Done is read.
+	const mover = "mover"
+	conn, br, bw, _ := openRawSession(t, srcSrv.addr, mover, frames, sites, n)
+	srcSrv.srv.mu.Lock()
+	srcSrv.srv.migrating[mover] = true
+	srcSrv.srv.mu.Unlock()
+	sendDone(bw)
+	if mt, _, err := readMsg(br); err == nil {
+		t.Errorf("done mid-handoff answered %v; want the connection closed", mt)
+	}
+	conn.Close()
+	if got := finals(finalA); got != 0 {
+		t.Fatalf("done mid-handoff wrote %d final state(s) on the source", got)
+	}
+	srcSrv.srv.AbortHandoff(mover) // let the real Handoff below take it
+	state, err := srcSrv.srv.Handoff(mover)
+	if err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	if err := dstSrv.srv.Adopt(state); err != nil {
+		t.Fatalf("adopt: %v", err)
+	}
+	if err := srcSrv.srv.Forget(mover); err != nil {
+		t.Fatalf("forget: %v", err)
+	}
+	if _, err := Push(context.Background(), ClientConfig{
+		Addr: dstSrv.addr, SessionID: mover, Workload: "linkedlist", Sites: sites,
+	}, frames); err != nil {
+		t.Fatalf("completing on destination: %v", err)
+	}
+
+	// Handoff after the completion claim: the session reads as gone, its
+	// connection stays up, and the Done completes it here.
+	const stayer = "stayer"
+	conn, br, bw, _ = openRawSession(t, srcSrv.addr, stayer, frames, sites, n)
+	defer conn.Close()
+	srcSrv.srv.mu.Lock()
+	st := srcSrv.srv.sessions[stayer]
+	srcSrv.srv.mu.Unlock()
+	srcSrv.srv.claimFinish(st, true)
+	if _, err := srcSrv.srv.Handoff(stayer); !errors.Is(err, errUnknownSession) {
+		t.Fatalf("handoff of a completing session: err = %v, want errUnknownSession", err)
+	}
+	srcSrv.srv.claimFinish(st, false) // the handler claims it again on Done
+	sendDone(bw)
+	if mt, _, err := readMsg(br); err != nil || mt != MsgBye {
+		t.Fatalf("done after a refused handoff: mt=%v err=%v, want Bye", mt, err)
+	}
+
+	dstSrv.shutdown(t)
+	srcSrv.shutdown(t)
+	if a, b := finals(finalA), finals(finalB); a != 1 || b != 1 {
+		t.Errorf("final states: source %d, destination %d; want one each (stayer, mover)", a, b)
 	}
 }
 

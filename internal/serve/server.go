@@ -148,6 +148,10 @@ type sessionState struct {
 	parting  bool
 	released chan struct{}
 
+	// finishing is set (under the server mutex) once the owning handler
+	// has claimed the session's completion; see claimFinish.
+	finishing bool
+
 	// stepReq asks the session's worker to step its ladder down at the
 	// next frame boundary: global load shedding may not touch a ladder
 	// owned by another goroutine directly.
@@ -454,6 +458,23 @@ func (s *Server) markParting(st *sessionState) {
 	s.mu.Lock()
 	st.parting = true
 	s.mu.Unlock()
+}
+
+// claimFinish sets or clears st's completion claim. Completion and
+// migration exclude each other: a session a handoff has marked migrating
+// belongs to its destination, which alone may complete it, so the claim
+// fails; and a claimed session reads as gone to Handoff, which leaves it
+// to finish here. Without the exclusion a session could write its final
+// state here while a handoff copies it, lose its Bye to the handoff's
+// connection close, and complete a second time on the destination.
+func (s *Server) claimFinish(st *sessionState, on bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if on && s.migrating[st.id] {
+		return false
+	}
+	st.finishing = on
+	return true
 }
 
 // release parks a session after its connection ends and wakes any

@@ -222,8 +222,15 @@ func (s *Server) finishSession(conn net.Conn, bw *bufio.Writer, st *sessionState
 		}
 		return
 	}
+	if !s.claimFinish(st, true) {
+		// A handoff holds the session: the client reconnects to the
+		// destination and completes there.
+		s.cfg.Logf("session %s: done arrived mid-handoff; the new owner completes it", st.id)
+		return
+	}
 	if err := st.pl.writeProfiles(s.cfg.OutputDir); err != nil {
 		s.cfg.Logf("session %s: %v", st.id, err)
+		s.claimFinish(st, false)
 		s.sendMsg(conn, bw, MsgErr, []byte("profile flush failed"))
 		return
 	}
@@ -238,6 +245,7 @@ func (s *Server) finishSession(conn net.Conn, bw *bufio.Writer, st *sessionState
 		}
 		if err != nil {
 			s.cfg.Logf("session %s: final state: %v", st.id, err)
+			s.claimFinish(st, false)
 			s.sendMsg(conn, bw, MsgErr, []byte("final state flush failed"))
 			return
 		}
