@@ -138,7 +138,8 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
 # Short fuzz pass over every decoder that parses untrusted bytes: the trace
-# reader, the profile/grammar decoders, and the ORMP/1 ingest paths (a live
+# reader (and the differential check between its two policies and the
+# wire-frame decoder), the profile/grammar decoders, and the ORMP/1 ingest paths (a live
 # server connection, and the router's routing path in front of a live
 # shard); plus grammar snapshot/resume on arbitrary streams, the core of
 # every checkpoint. ~$(FUZZTIME) per target.
@@ -146,6 +147,7 @@ fuzz-short:
 	$(GO) test -fuzz='^FuzzReader$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt/
 	$(GO) test -fuzz='^FuzzReaderResync$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/tracefmt/
+	$(GO) test -fuzz='^FuzzFrameDecoders$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt/
 	$(GO) test -fuzz=FuzzReadProfile -fuzztime=$(FUZZTIME) ./internal/whomp/
 	$(GO) test -fuzz=FuzzReadProfile -fuzztime=$(FUZZTIME) ./internal/leap/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/sequitur/

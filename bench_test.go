@@ -320,7 +320,11 @@ func BenchmarkTraceEncodeDecode(b *testing.B) {
 		b.SetBytes(int64(len(encoded)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			n, err := tracefmt.Replay(bytes.NewReader(encoded), trace.Discard)
+			r, err := tracefmt.NewReader(bytes.NewReader(encoded))
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, err := trace.Drain(r, trace.Discard)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -378,7 +382,11 @@ func BenchmarkReplayVsInProcess(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			lp := leap.New(sites, 0)
-			n, err := tracefmt.Replay(bytes.NewReader(encoded), lp)
+			r, err := tracefmt.NewReader(bytes.NewReader(encoded))
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, err := trace.Drain(r, lp)
 			if err != nil {
 				b.Fatal(err)
 			}

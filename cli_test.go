@@ -179,9 +179,9 @@ func TestCLIRecordAndReplay(t *testing.T) {
 		}
 	}
 
-	// The deprecated whomp -trace alias still replays: same OMSG line.
+	// whomp's summary replays too: same OMSG line.
 	live := runTool(t, "whomp", "-workload", "linkedlist")
-	replay := runTool(t, "whomp", "-trace", tr)
+	replay := runTool(t, "whomp", "-replay", tr)
 	pick := func(out string) string {
 		for _, line := range strings.Split(out, "\n") {
 			if strings.Contains(line, "OMSG:") {
@@ -249,6 +249,8 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"stridescan", []string{"-mem-budget", "10Q"}, "not a size"},
 		{"mdep", []string{"-mem-budget", "1.5M"}, "not a size"},
 		{"phasescan", []string{"-mem-budget", ""}, "not a size"},
+		{"phasescan", []string{"-deadline", "soon"}, "invalid value"},
+		{"phasescan", []string{"-lenient=2"}, "invalid boolean value"},
 		{"layoutopt", []string{"-mem-budget", "nope"}, "not a size"},
 		{"layoutopt", []string{"-deadline", "soon"}, "invalid value"},
 		{"ormprof", []string{"translate", "-mem-budget", "zz"}, "not a size"},
@@ -258,6 +260,17 @@ func TestCLIFlagValidation(t *testing.T) {
 		// budget to enforce and no sketches to start on.
 		{"ormprof", []string{"trace", "-mem-budget", "1K"}, "flag provided but not defined: -mem-budget"},
 		{"ormprof", []string{"trace", "-approx"}, "flag provided but not defined: -approx"},
+		// record only runs a workload into a file: it prints nothing it
+		// could limit, replays nothing, and profiles nothing.
+		{"ormprof", []string{"record", "-n", "5"}, "flag provided but not defined: -n"},
+		{"ormprof", []string{"record", "-replay", "x.ormtrace"}, "flag provided but not defined: -replay"},
+		{"ormprof", []string{"record", "-record", "x.ormtrace"}, "flag provided but not defined: -record"},
+		{"ormprof", []string{"record", "-lenient"}, "flag provided but not defined: -lenient"},
+		{"ormprof", []string{"record", "-deadline", "1s"}, "flag provided but not defined: -deadline"},
+		{"ormprof", []string{"record", "-mem-budget", "1K"}, "flag provided but not defined: -mem-budget"},
+		{"ormprof", []string{"record", "-approx"}, "flag provided but not defined: -approx"},
+		// whomp reads a recorded trace through -replay only.
+		{"whomp", []string{"-trace", "x.ormtrace"}, "flag provided but not defined: -trace"},
 		{"ormprof", []string{"grammar", "-workers", "0"}, "must be at least 1"},
 		{"ormprof", []string{"optimize", "-workers", "0"}, "must be at least 1"},
 		{"ormprof", []string{"optimize", "-workers", "two"}, "must be an integer"},
@@ -606,6 +619,23 @@ func TestCLIPhaseScan(t *testing.T) {
 	}
 	out := runTool(t, "phasescan", "-workload", "256.bzip2")
 	wantContains(t, out, "Phases", "Monolithic capture", "Phase-cognizant capture")
+}
+
+// TestCLIPhaseScanAllWorkloadsGoverned: without -workload, phasescan
+// runs every workload under the trace flags it was given, as it does for
+// one: a tiny budget degrades the baselines and exits 2, -approx starts
+// them at the sketch rung and exits 0, and an expired -deadline cuts the
+// passes short with exit 2.
+func TestCLIPhaseScanAllWorkloadsGoverned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	out := runToolExit(t, 2, "phasescan", "-mem-budget", "4K")
+	wantContains(t, out, "# resource governance", "profiling degraded to")
+	out = runToolExit(t, 0, "phasescan", "-approx")
+	wantContains(t, out, "degraded (sketch-stride)")
+	out = runToolExit(t, 2, "phasescan", "-deadline", "1ns")
+	wantContains(t, out, "deadline exceeded")
 }
 
 func TestCLIInspectRejectsGarbage(t *testing.T) {

@@ -11,9 +11,9 @@
 //	ormprof inspect   FILE.whomp|FILE.leap|FILE.ormtrace
 //	ormprof optimize  -workload NAME [-plan FILE.ormplan] [-workers N] [-csv]
 //
-// Every workload-driven subcommand also accepts -replay FILE.ormtrace to
-// read a recorded trace instead of running the workload, and -record FILE
-// to tee the live probe stream to a trace file.
+// Every workload-driven subcommand except record also accepts -replay
+// FILE.ormtrace to read a recorded trace instead of running the workload,
+// and -record FILE to tee the live probe stream to a trace file.
 package main
 
 import (
@@ -87,20 +87,24 @@ commands:
 }
 
 // workloadFlags registers the flags the workload-driven subcommands
-// share: the workload selection, the -record/-replay trace pair, and the
-// -mem-budget/-approx governance pair.
+// share: the workload selection, the -n print limit, the -record/-replay
+// trace pair, and the -mem-budget/-approx governance pair.
 func workloadFlags(fs *flag.FlagSet) (*string, *int, *int64, *int, *cliutil.TraceFlags) {
-	w, scale, seed, n := selectFlags(fs)
-	return w, scale, seed, n, cliutil.RegisterTraceFlags(fs)
+	w, scale, seed := selectFlags(fs)
+	return w, scale, seed, limitFlag(fs), cliutil.RegisterTraceFlags(fs)
 }
 
-// selectFlags registers the workload selection and the -n print limit.
-func selectFlags(fs *flag.FlagSet) (*string, *int, *int64, *int) {
+// selectFlags registers the workload selection.
+func selectFlags(fs *flag.FlagSet) (*string, *int, *int64) {
 	w := fs.String("workload", "linkedlist", "workload name")
 	scale := fs.Int("scale", 1, "workload scale factor")
 	seed := fs.Int64("seed", 42, "workload random seed")
-	n := fs.Int("n", 20, "number of entries to print")
-	return w, scale, seed, n
+	return w, scale, seed
+}
+
+// limitFlag registers the -n print limit.
+func limitFlag(fs *flag.FlagSet) *int {
+	return fs.Int("n", 20, "number of entries to print")
 }
 
 // load resolves the workload selection and trace flags into an event
@@ -111,7 +115,7 @@ func load(name string, scale int, seed int64, tf *cliutil.TraceFlags) (*cliutil.
 
 func recordCmd(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	w, scale, seed, _, _ := workloadFlags(fs)
+	w, scale, seed := selectFlags(fs)
 	out := fs.String("o", "trace.ormtrace", "output trace file")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	prog, err := workloads.New(*w, workloads.Config{Scale: *scale, Seed: *seed})
@@ -138,7 +142,8 @@ func recordCmd(args []string) error {
 
 func traceCmd(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	w, scale, seed, n := selectFlags(fs)
+	w, scale, seed := selectFlags(fs)
+	n := limitFlag(fs)
 	// The raw dump keeps no profiling state, so it takes no -mem-budget
 	// or -approx.
 	tf := cliutil.RegisterStreamFlags(fs)

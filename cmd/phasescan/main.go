@@ -54,12 +54,8 @@ func run(workload string, cfg workloads.Config, interval, maxLMADs int, tf *cliu
 	var lads []*govern.Ladder
 	tbl := report.NewTable("Benchmark", "Phases", "Transitions", "Monolithic capture", "Phase-cognizant capture")
 	for _, name := range names {
-		flags := tf
-		if workload == "" && !tf.Active() {
-			flags = &cliutil.TraceFlags{}
-		}
 		var err error
-		ev, err = flags.Load(name, cfg)
+		ev, err = tf.Load(name, cfg)
 		if err != nil {
 			return err
 		}

@@ -33,24 +33,20 @@ func main() {
 		scale    = flag.Int("scale", 1, "workload scale factor")
 		seed     = flag.Int64("seed", 42, "workload random seed")
 		out      = flag.String("o", "", "write the WHOMP profile of the (single) workload to this file")
-		traceIn  = flag.String("trace", "", "deprecated alias for -replay")
 		csvOut   = flag.Bool("csv", false, "emit the Figure 5 table as CSV (for plotting)")
 	)
 	workers := cliutil.WorkersFlag(flag.CommandLine)
 	tf := cliutil.RegisterTraceFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(*workload, workloads.Config{Scale: *scale, Seed: *seed}, *out, *traceIn, *csvOut, *workers, tf); err != nil {
+	if err := run(*workload, workloads.Config{Scale: *scale, Seed: *seed}, *out, *csvOut, *workers, tf); err != nil {
 		cliutil.Fatal("whomp", err)
 	}
 }
 
-func run(workload string, cfg workloads.Config, out, traceIn string, csvOut bool, workers int, tf *cliutil.TraceFlags) error {
+func run(workload string, cfg workloads.Config, out string, csvOut bool, workers int, tf *cliutil.TraceFlags) error {
 	if err := cliutil.CheckWorkers(workers); err != nil {
 		return err
-	}
-	if traceIn != "" && tf.Replay == "" {
-		tf.Replay = traceIn
 	}
 	if workload != "" || tf.Active() {
 		return runOne(workload, cfg, out, workers, tf)

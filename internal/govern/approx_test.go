@@ -65,7 +65,7 @@ type exactOracle struct {
 }
 
 func newExactOracle() *exactOracle {
-	cfg := SketchConfig{}.withDefaults()
+	cfg := defaultSketch
 	o := &exactOracle{
 		cfg:     cfg,
 		last:    make([]lastSlot, ceilPow2(cfg.LastSlots)),
@@ -240,7 +240,7 @@ func TestSketchFootprintFixed(t *testing.T) {
 	var want int64
 	for _, name := range nineWorkloads() {
 		events := workloadEvents(t, name)
-		m := newSketchStrideMode(SketchConfig{})
+		m := newSketchStrideMode()
 		at0 := m.Footprint()
 		for _, e := range events[:len(events)/10] {
 			m.Emit(e)

@@ -378,6 +378,46 @@ func TestSnapshotRoundTripPerRung(t *testing.T) {
 	}
 }
 
+// TestRestoreHonoursRecordedSizes: a new ladder always samples at
+// DefaultSampleMod and builds its sketches at the default sizes, but a
+// restored ladder keeps whatever its snapshot records, with a zero value
+// still selecting the default.
+func TestRestoreHonoursRecordedSizes(t *testing.T) {
+	full := func() Mode { return &growMode{perEvent: 1} }
+	l := NewLadder(Config{Seed: 3, Full: full})
+	l.ForceStep()
+	snap := l.Snapshot()
+	if snap.Rung != RungSampled || snap.SampleMod != DefaultSampleMod {
+		t.Fatalf("new ladder: rung %s, sample modulus %d, want %s and %d",
+			snap.Rung, snap.SampleMod, RungSampled, DefaultSampleMod)
+	}
+	for _, tc := range []struct{ recorded, want uint64 }{{2, 2}, {0, DefaultSampleMod}} {
+		snap.SampleMod = tc.recorded
+		r, err := RestoreLadder(Config{Full: full}, snap, &growMode{perEvent: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.filter.mod != tc.want || r.Snapshot().SampleMod != tc.want {
+			t.Errorf("recorded modulus %d: filter samples at %d, re-snapshot records %d, want %d",
+				tc.recorded, r.filter.mod, r.Snapshot().SampleMod, tc.want)
+		}
+	}
+
+	l = NewLadder(Config{StartRung: RungSketchStride, Full: full})
+	snap = l.Snapshot()
+	if snap.SketchStride.Config != defaultSketch {
+		t.Fatalf("new sketch rung built with %+v, want the defaults %+v", snap.SketchStride.Config, defaultSketch)
+	}
+	snap.SketchStride.Config.Seed = 12345
+	r, err := RestoreLadder(Config{Full: full}, snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Snapshot().SketchStride.Config; got.Seed != 12345 || got.Depth != defaultSketch.Depth {
+		t.Errorf("restored sketch rung records %+v, want the snapshot's seed 12345 and default sizes", got)
+	}
+}
+
 func TestRestoreNilSnapshotWrapsFullMode(t *testing.T) {
 	m := &growMode{perEvent: 1}
 	l, err := RestoreLadder(Config{Full: func() Mode { return &growMode{perEvent: 1} }}, nil, m)

@@ -29,9 +29,6 @@ type Config struct {
 	Budget *Budget
 	// Seed drives the deterministic site subset at RungSampled.
 	Seed uint64
-	// SampleMod keeps roughly one in SampleMod allocation sites at
-	// RungSampled (0 selects DefaultSampleMod).
-	SampleMod uint64
 	// Full builds a fresh full-profiling mode. It is called once at
 	// construction and again on the step to RungSampled (the sampled rung
 	// profiles with a fresh pipeline so the exploded structures of the
@@ -43,9 +40,6 @@ type Config struct {
 	// run is approximate by request, not degraded) unless the budget
 	// forces further steps. Any other value starts at RungFull.
 	StartRung Rung
-	// Sketch sizes the sketch rungs (the zero value selects the
-	// defaults; see SketchConfig).
-	Sketch SketchConfig
 }
 
 // Ladder is a trace.Sink that wraps a profiling mode in budget
@@ -59,6 +53,7 @@ type Config struct {
 // sequential by design (see the package comment's determinism contract).
 type Ladder struct {
 	cfg       Config
+	sampleMod uint64 // RungSampled keeps one in sampleMod sites
 	rung      Rung
 	cur       Mode
 	filter    *siteFilter         // non-nil at RungSampled
@@ -77,18 +72,15 @@ func NewLadder(cfg Config) *Ladder {
 	if cfg.Budget == nil {
 		cfg.Budget = NewBudget(0)
 	}
-	if cfg.SampleMod == 0 {
-		cfg.SampleMod = DefaultSampleMod
-	}
-	l := &Ladder{cfg: cfg}
+	l := &Ladder{cfg: cfg, sampleMod: DefaultSampleMod}
 	switch cfg.StartRung {
 	case RungSketchStride:
 		l.rung = RungSketchStride
-		l.sketchStr = newSketchStrideMode(cfg.Sketch)
+		l.sketchStr = newSketchStrideMode()
 		l.cur = l.sketchStr
 	case RungSketchCounters:
 		l.rung = RungSketchCounters
-		l.sketchCtr = newSketchCountersMode(cfg.Sketch)
+		l.sketchCtr = newSketchCountersMode()
 		l.cur = l.sketchCtr
 	default:
 		l.cur = cfg.Full()
@@ -146,9 +138,9 @@ func (l *Ladder) stepDown() {
 	var sketchMode Mode
 	for next.Sketch() {
 		if next == RungSketchStride {
-			sketchMode = Mode(newSketchStrideMode(l.cfg.Sketch))
+			sketchMode = Mode(newSketchStrideMode())
 		} else {
-			sketchMode = Mode(newSketchCountersMode(l.cfg.Sketch))
+			sketchMode = Mode(newSketchCountersMode())
 		}
 		// The check simulates replacing the current mode's accounted
 		// bytes with the candidate's fixed footprint.
@@ -167,7 +159,7 @@ func (l *Ladder) stepDown() {
 	case RungSampled:
 		inner := l.cfg.Full()
 		l.replayNames(inner)
-		l.filter = newSiteFilter(l.cfg.Seed, l.cfg.SampleMod, inner)
+		l.filter = newSiteFilter(l.cfg.Seed, l.sampleMod, inner)
 		l.cur = l.filter
 	case RungSketchStride:
 		l.sketchStr = sketchMode.(*sketchStrideMode)

@@ -15,10 +15,12 @@ import (
 // filter; the sketch rungs trade it for cross-session mergeability.
 const DefaultSketchSeed = 0x5ce7c4a1d3b2f109
 
-// SketchConfig sizes the sketch rungs. The zero value selects the
-// defaults; all sizes are fixed at construction, so a sketch rung's
-// footprint is a constant (≈256K for sketch-stride, ≈22K for
-// sketch-counters at the defaults) regardless of trace length.
+// SketchConfig records the sizes a sketch rung was built with, as its
+// snapshot carries them. New rungs are always built at the defaults
+// (defaultSketch); a restored rung keeps the sizes its snapshot records,
+// with a zero field selecting the default. All sizes are fixed at
+// construction, so a sketch rung's footprint is a constant (≈256K for
+// sketch-stride, ≈22K for sketch-counters) regardless of trace length.
 type SketchConfig struct {
 	// Seed seeds all sketch hashing (0 selects DefaultSketchSeed).
 	Seed uint64
@@ -103,8 +105,11 @@ type sketchStrideMode struct {
 	foot   int64
 }
 
-func newSketchStrideMode(cfg SketchConfig) *sketchStrideMode {
-	cfg = cfg.withDefaults()
+// defaultSketch is the configuration every new sketch rung is built with.
+var defaultSketch = SketchConfig{}.withDefaults()
+
+func newSketchStrideMode() *sketchStrideMode {
+	cfg := defaultSketch
 	m := &sketchStrideMode{
 		cfg:   cfg,
 		strC:  sketch.NewCountMin(cfg.Depth, cfg.StrideWidth, cfg.Seed),
@@ -185,8 +190,8 @@ type sketchCountersMode struct {
 	foot   int64
 }
 
-func newSketchCountersMode(cfg SketchConfig) *sketchCountersMode {
-	cfg = cfg.withDefaults()
+func newSketchCountersMode() *sketchCountersMode {
+	cfg := defaultSketch
 	m := &sketchCountersMode{
 		cfg:   cfg,
 		sites: sketch.NewCountMin(cfg.Depth, cfg.SiteWidth, cfg.Seed+3),

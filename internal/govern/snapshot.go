@@ -106,7 +106,7 @@ func (l *Ladder) Snapshot() *Snapshot {
 		Steps:     l.Steps(),
 		Events:    l.events,
 		Seed:      l.cfg.Seed,
-		SampleMod: l.cfg.SampleMod,
+		SampleMod: l.sampleMod,
 		StartRung: l.cfg.StartRung,
 	}
 	switch l.rung {
@@ -156,10 +156,7 @@ func RestoreLadder(cfg Config, snap *Snapshot, full Mode) (*Ladder, error) {
 			if cfg.Budget == nil {
 				cfg.Budget = NewBudget(0)
 			}
-			if cfg.SampleMod == 0 {
-				cfg.SampleMod = DefaultSampleMod
-			}
-			l := &Ladder{cfg: cfg, cur: full}
+			l := &Ladder{cfg: cfg, sampleMod: DefaultSampleMod, cur: full}
 			l.account()
 			return l, nil
 		}
@@ -169,16 +166,16 @@ func RestoreLadder(cfg Config, snap *Snapshot, full Mode) (*Ladder, error) {
 		cfg.Budget = NewBudget(0)
 	}
 	cfg.Seed = snap.Seed
-	cfg.SampleMod = snap.SampleMod
 	cfg.StartRung = snap.StartRung
-	if cfg.SampleMod == 0 {
-		cfg.SampleMod = DefaultSampleMod
-	}
 	l := &Ladder{
-		cfg:    cfg,
-		rung:   snap.Rung,
-		steps:  append([]Step(nil), snap.Steps...),
-		events: snap.Events,
+		cfg:       cfg,
+		sampleMod: snap.SampleMod,
+		rung:      snap.Rung,
+		steps:     append([]Step(nil), snap.Steps...),
+		events:    snap.Events,
+	}
+	if l.sampleMod == 0 {
+		l.sampleMod = DefaultSampleMod
 	}
 	switch snap.Rung {
 	case RungFull, RungSampled:
@@ -189,7 +186,7 @@ func RestoreLadder(cfg Config, snap *Snapshot, full Mode) (*Ladder, error) {
 			l.cur = full
 			break
 		}
-		l.filter = newSiteFilter(cfg.Seed, cfg.SampleMod, full)
+		l.filter = newSiteFilter(cfg.Seed, l.sampleMod, full)
 		for _, o := range snap.Filter {
 			l.filter.live.Set(o.Start, uint64(o.Size))
 		}

@@ -76,9 +76,6 @@ func (p *Planner) Finish() {}
 // incrementally (no walking).
 func (p *Planner) Footprint() int64 { return p.foot }
 
-// Touched reports how many distinct objects the stream accessed.
-func (p *Planner) Touched() int { return len(p.touch) }
-
 // FieldOrders derives hot-first field orders for every group whose objects
 // share one uniform size that is a multiple of SlotSize with at least two
 // slots (record size = object size, as in cmd/layoutopt). Orders are keyed

@@ -256,9 +256,6 @@ func (s *Sharded) Err() error { return s.fail.get() }
 // Records reports how many records the stage has routed.
 func (s *Sharded) Records() uint64 { return s.records }
 
-// NumWorkers reports the shard count.
-func (s *Sharded) NumWorkers() int { return len(s.workers) }
-
 // SCC returns shard i's downstream SCC. Only call after Finish (the worker
 // goroutine owns the SCC until then).
 func (s *Sharded) SCC(i int) SCC { return s.workers[i].scc }

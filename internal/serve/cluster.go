@@ -466,7 +466,7 @@ func (c *Cluster) AddShardAt(epoch uint64) (int, error) {
 		r.Hold(id)
 		c.hook("held", id)
 	}
-	if _, err := r.InstallAdd(epoch, sh.addr); err != nil {
+	if _, err := r.install(epoch, sh.addr, false); err != nil {
 		for id := range movers {
 			r.Release(id)
 		}
@@ -520,7 +520,7 @@ func (c *Cluster) RemoveShardAt(epoch uint64, i int) error {
 		r.Hold(id)
 		c.hook("held", id)
 	}
-	if _, err := r.InstallRemove(epoch, sh.addr); err != nil {
+	if _, err := r.install(epoch, sh.addr, true); err != nil {
 		for id := range movers {
 			r.Release(id)
 		}

@@ -366,7 +366,7 @@ func (r *Router) AddShard(epoch uint64, addr string) (uint64, error) {
 	if r.cfg.OnAddShard != nil {
 		return r.cfg.OnAddShard(epoch, addr)
 	}
-	return r.InstallAdd(epoch, addr)
+	return r.install(epoch, addr, false)
 }
 
 // RemoveShard is AddShard's inverse.
@@ -377,79 +377,66 @@ func (r *Router) RemoveShard(epoch uint64, addr string) (uint64, error) {
 	if r.cfg.OnRemoveShard != nil {
 		return r.cfg.OnRemoveShard(epoch, addr)
 	}
-	return r.InstallRemove(epoch, addr)
+	return r.install(epoch, addr, true)
 }
 
-// InstallAdd compare-and-swaps the ring: it must still be at epoch, or
-// the command is refused with a *StaleEpochError — a duplicate of an
-// applied command always lands here, which is what makes admin retries
-// safe. On success the new ring (epoch+1) is installed, persisted, and
-// replicated, and the new epoch returned.
-func (r *Router) InstallAdd(epoch uint64, addr string) (uint64, error) {
+// install compare-and-swaps the ring: it must still be at epoch, or the
+// command is refused with a *StaleEpochError — a duplicate of an applied
+// command always lands here, which is what makes admin retries safe. On
+// success the ring with addr added (or, with remove set, removed) is
+// installed at epoch+1, persisted, and replicated, and the new epoch
+// returned.
+func (r *Router) install(epoch uint64, addr string, remove bool) (uint64, error) {
 	r.mu.Lock()
 	if epoch != r.ring.epoch {
 		se := &StaleEpochError{Have: r.ring.epoch, Got: epoch}
 		r.mu.Unlock()
 		return se.Have, se
 	}
-	ng, err := r.ring.add(addr)
+	change, verb := r.ring.add, "added"
+	if remove {
+		change, verb = r.ring.remove, "removed"
+	}
+	ng, err := change(addr)
 	if err != nil {
 		r.mu.Unlock()
 		return epoch, err
 	}
 	r.installLocked(ng)
 	r.mu.Unlock()
-	r.cfg.Logf("router: epoch %d: added shard %s", ng.epoch, addr)
+	r.cfg.Logf("router: epoch %d: %s shard %s", ng.epoch, verb, addr)
 	r.replicate()
 	return ng.epoch, nil
 }
 
-// InstallRemove is InstallAdd for shard removal.
-func (r *Router) InstallRemove(epoch uint64, addr string) (uint64, error) {
-	r.mu.Lock()
-	if epoch != r.ring.epoch {
-		se := &StaleEpochError{Have: r.ring.epoch, Got: epoch}
-		r.mu.Unlock()
-		return se.Have, se
-	}
-	ng, err := r.ring.remove(addr)
-	if err != nil {
-		r.mu.Unlock()
-		return epoch, err
-	}
-	r.installLocked(ng)
-	r.mu.Unlock()
-	r.cfg.Logf("router: epoch %d: removed shard %s", ng.epoch, addr)
-	r.replicate()
-	return ng.epoch, nil
-}
-
-// installLocked swaps in a new ring. Health tracking follows the shard
-// set, and every known placement is reconciled against the new topology:
-// a session whose shard survived stays exactly where its durable cursor
-// lives (pinned off-primary if the ring now disagrees), while placements
-// on a departed shard are dropped — those sessions are the orchestrator's
-// to migrate and Repoint. Callers hold r.mu.
-func (r *Router) installLocked(ng *ring) {
+// swapRingLocked installs ng as the ring and makes health tracking
+// follow its shard set. Callers hold r.mu.
+func (r *Router) swapRingLocked(ng *ring) {
 	old := r.ring
 	r.ring = ng
-	have := make(map[string]bool, len(ng.addrs))
-	for _, a := range ng.addrs {
-		have[a] = true
-	}
 	for _, a := range ng.addrs {
 		if !old.contains(a) {
 			r.health.addShard(a)
 		}
 	}
 	for _, a := range old.addrs {
-		if !have[a] {
+		if !ng.contains(a) {
 			r.health.removeShard(a)
 		}
 	}
+}
+
+// installLocked swaps in a new ring and reconciles every known placement
+// against the new topology: a session whose shard survived stays exactly
+// where its durable cursor lives (pinned off-primary if the ring now
+// disagrees), while placements on a departed shard are dropped — those
+// sessions are the orchestrator's to migrate and Repoint. Callers hold
+// r.mu.
+func (r *Router) installLocked(ng *ring) {
+	r.swapRingLocked(ng)
 	for s, a := range r.placements {
 		switch {
-		case !have[a]:
+		case !ng.contains(a):
 			delete(r.placements, s)
 			delete(r.routes, s)
 		case ng.primary(s) == a:
@@ -459,7 +446,7 @@ func (r *Router) installLocked(ng *ring) {
 		}
 	}
 	for s, a := range r.routes {
-		if !have[a] || ng.primary(s) == a {
+		if !ng.contains(a) || ng.primary(s) == a {
 			delete(r.routes, s)
 		}
 	}
@@ -485,18 +472,7 @@ func (r *Router) ApplyTable(st *checkpoint.RouterState) error {
 		r.mu.Unlock()
 		return se
 	}
-	old := r.ring
-	r.ring = ng
-	for _, a := range ng.addrs {
-		if !old.contains(a) {
-			r.health.addShard(a)
-		}
-	}
-	for _, a := range old.addrs {
-		if !ng.contains(a) {
-			r.health.removeShard(a)
-		}
-	}
+	r.swapRingLocked(ng)
 	r.routes = make(map[string]string, len(st.Routes))
 	r.placements = make(map[string]string, len(st.Routes))
 	for s, sh := range st.Routes {

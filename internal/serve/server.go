@@ -540,12 +540,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	for _, st := range states {
 		if st.dirty {
-			if ck, cerr := st.pl.state(st.id); cerr == nil {
-				if serr := checkpoint.Save(checkpoint.PathFor(s.cfg.CheckpointDir, st.id), ck); serr == nil {
-					st.acked = st.pl.framesApplied
-					st.dirty = false
-				}
-			}
+			s.saveCheckpoint(st)
 		}
 		if werr := st.pl.writeProfiles(s.cfg.OutputDir); werr != nil {
 			s.cfg.Logf("session %s: flush profiles: %v", st.id, werr)

@@ -2,6 +2,7 @@ package tracefmt
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 
 	"ormprof/internal/trace"
@@ -94,45 +95,78 @@ func EncodeFrame(events []trace.Event) ([]byte, error) {
 	return appendFrame(nil, records, len(events)), nil
 }
 
-// DecodeFrame decodes one standalone v3 frame produced by EncodeFrame (or
-// cut from a v3 trace file). The slice must hold exactly one frame; the
-// CRC is verified before any record is decoded, and every decode error
-// wraps ErrBadTrace.
-func DecodeFrame(data []byte) ([]trace.Event, error) {
-	return DecodeFrameInto(nil, data)
+// errNeedMore reports that a byte window ends before the frame that
+// starts it does.
+var errNeedMore = errors.New("tracefmt: need more data")
+
+// parseFrame is the one frame-envelope check every decode path runs. It
+// validates the frame at the start of w and returns its payload and the
+// frame's total length in bytes; errNeedMore when w ends before the frame
+// does; or an ErrBadTrace-wrapped error when no valid frame starts at w.
+// The payload aliases w. A v3 frame is sync marker, payload length,
+// CRC-32C and payload; a legacy v2 frame is a bare length and payload.
+//
+// A v2 frame carries no checksum, so with structural set its payload must
+// also decode record by record (validatePayload) — the stand-in for a
+// checksum that the lenient reader needs before it trusts a frame. When
+// the checksum or that structure fails, the damaged payload comes back
+// with the error, so the caller can count the records it claimed.
+func parseFrame(w []byte, ver byte, structural bool) (payload []byte, n int, err error) {
+	crcLen := 0
+	if ver != VersionNoChecksum {
+		if len(w) < len(FrameMagic) {
+			return nil, 0, errNeedMore
+		}
+		if string(w[:len(FrameMagic)]) != FrameMagic {
+			return nil, 0, badf("bad frame magic %x", w[:len(FrameMagic)])
+		}
+		n, crcLen = len(FrameMagic), 4
+	}
+	pl, k := binary.Uvarint(w[n:])
+	switch {
+	case k == 0 && len(w)-n < binary.MaxVarintLen64:
+		return nil, 0, errNeedMore
+	case k <= 0:
+		return nil, 0, badf("frame length: varint overflows a 64-bit integer")
+	case pl == 0 || pl > MaxFramePayload:
+		return nil, 0, badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
+	}
+	n += k + crcLen
+	if len(w)-n < int(pl) {
+		return nil, 0, errNeedMore
+	}
+	payload = w[n : n+int(pl)]
+	if crcLen > 0 {
+		want := binary.LittleEndian.Uint32(w[n-crcLen : n])
+		if got := crc32.Checksum(payload, crcTable); got != want {
+			return payload, 0, badf("frame checksum mismatch: payload %08x, header %08x", got, want)
+		}
+	} else if structural {
+		if err := validatePayload(payload); err != nil {
+			return payload, 0, err
+		}
+	}
+	return payload, n + int(pl), nil
 }
 
-// DecodeFrameInto is DecodeFrame appending into dst's capacity, so a
-// caller decoding frames in a loop (the ormpd session reader, replay
-// tools) can reuse one buffer across frames instead of allocating per
-// frame: pass the previous result re-sliced to [:0]. On error the
+// DecodeFrameInto decodes one standalone v3 frame produced by EncodeFrame
+// (or cut from a v3 trace file), appending its events into dst's capacity:
+// a caller decoding frames in a loop (the ormpd session reader, replay
+// tools) reuses one buffer across frames by passing the previous result
+// re-sliced to [:0], and DecodeFrameInto(nil, data) allocates a fresh one.
+// data must hold exactly one frame; the CRC is verified before any record
+// is decoded, and every decode error wraps ErrBadTrace. On error the
 // returned slice is dst unchanged.
 func DecodeFrameInto(dst []trace.Event, data []byte) ([]trace.Event, error) {
-	if len(data) < len(FrameMagic) {
-		return dst, badf("frame shorter than its sync marker")
+	payload, n, err := parseFrame(data, Version, false)
+	if err == errNeedMore {
+		return dst, badf("frame truncated at %d bytes", len(data))
 	}
-	if string(data[:len(FrameMagic)]) != FrameMagic {
-		return dst, badf("bad frame magic %x", data[:len(FrameMagic)])
+	if err != nil {
+		return dst, err
 	}
-	rest := data[len(FrameMagic):]
-	pl, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return dst, badf("frame length: malformed varint")
-	}
-	if pl == 0 || pl > MaxFramePayload {
-		return dst, badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	}
-	rest = rest[n:]
-	if uint64(len(rest)) < 4+pl {
-		return dst, badf("frame truncated: %d bytes, want %d", len(rest), 4+pl)
-	}
-	if uint64(len(rest)) > 4+pl {
-		return dst, badf("%d trailing bytes after frame", uint64(len(rest))-(4+pl))
-	}
-	want := binary.LittleEndian.Uint32(rest[:4])
-	payload := rest[4 : 4+pl]
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return dst, badf("frame checksum mismatch: payload %08x, header %08x", got, want)
+	if n != len(data) {
+		return dst, badf("%d trailing bytes after frame", len(data)-n)
 	}
 	var d frameDecoder
 	if err := d.start(payload); err != nil {

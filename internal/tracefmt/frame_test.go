@@ -35,7 +35,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		got, err := DecodeFrame(frame)
+		got, err := DecodeFrameInto(nil, frame)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -93,18 +93,61 @@ func TestFrameDecodeRejectsDamage(t *testing.T) {
 	for off := range frame {
 		bad := append([]byte(nil), frame...)
 		bad[off] ^= 0x10
-		if _, err := DecodeFrame(bad); err == nil {
+		if _, err := DecodeFrameInto(nil, bad); err == nil {
 			t.Fatalf("flip at %d accepted", off)
 		} else if !errors.Is(err, ErrBadTrace) {
 			t.Fatalf("flip at %d: error %v does not wrap ErrBadTrace", off, err)
 		}
 	}
 	for _, n := range []int{0, 1, len(FrameMagic), len(frame) / 2, len(frame) - 1} {
-		if _, err := DecodeFrame(frame[:n]); !errors.Is(err, ErrBadTrace) {
+		if _, err := DecodeFrameInto(nil, frame[:n]); !errors.Is(err, ErrBadTrace) {
 			t.Fatalf("truncation to %d: want ErrBadTrace, got %v", n, err)
 		}
 	}
-	if _, err := DecodeFrame(append(append([]byte(nil), frame...), 0)); err == nil {
-		t.Error("DecodeFrame accepted trailing bytes")
+	if _, err := DecodeFrameInto(nil, append(append([]byte(nil), frame...), 0)); err == nil {
+		t.Error("DecodeFrameInto accepted trailing bytes")
+	}
+}
+
+// TestDecodeFrameIntoZeroAlloc: decoding frames in a loop into one reused
+// buffer — what the ormpd session reader does per wire frame — allocates
+// nothing per frame.
+func TestDecodeFrameIntoZeroAlloc(t *testing.T) {
+	frame, err := EncodeFrame(frameEvents(DefaultBatch, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]trace.Event, 0, DefaultBatch)
+	allocs := testing.AllocsPerRun(100, func() {
+		if buf, err = DecodeFrameInto(buf[:0], frame); err != nil || len(buf) != DefaultBatch {
+			t.Fatalf("decoded %d events: %v", len(buf), err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeFrameInto into a reused buffer allocated %.1f times per frame, want 0", allocs)
+	}
+}
+
+// TestReaderSteadyStateZeroAlloc: once its read window has grown to fit,
+// a strict Reader delivers frame after frame without allocating.
+func TestReaderSteadyStateZeroAlloc(t *testing.T) {
+	const batch, frames, runs = 256, 64, 40
+	data := encode(t, frameEvents(batch*frames, 12), WithBatch(batch))
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readFrame := func() {
+		for i := 0; i < batch; i++ {
+			if _, err := r.Next(); err != nil {
+				t.Fatalf("event %d: %v", r.Stats().Events, err)
+			}
+		}
+	}
+	for i := 0; i < frames-runs-1; i++ {
+		readFrame() // grow the window
+	}
+	if allocs := testing.AllocsPerRun(runs, readFrame); allocs != 0 {
+		t.Errorf("strict Reader allocated %.1f times per %d-event frame, want 0", allocs, batch)
 	}
 }

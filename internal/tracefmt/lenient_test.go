@@ -303,7 +303,7 @@ func TestStrictRejectsCorruptFrame(t *testing.T) {
 	if r.Stats().Damaged() {
 		t.Errorf("strict stats report damage: %+v", r.Stats())
 	}
-	if r.Events() != 16 {
-		t.Errorf("strict delivered %d events before failing, want 16", r.Events())
+	if r.Stats().Events != 16 {
+		t.Errorf("strict delivered %d events before failing, want 16", r.Stats().Events)
 	}
 }

@@ -4,10 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"slices"
 
 	"ormprof/internal/trace"
 )
@@ -22,7 +21,9 @@ import (
 // corrupt or hostile file produces an error, never a panic or an
 // unbounded allocation (see FuzzReader).
 //
-// The reader has two fault policies:
+// Both fault policies parse every frame envelope with the one check that
+// DecodeFrameInto also runs (parseFrame); they differ only in what
+// follows a damaged frame:
 //
 //   - strict (the default): the first corrupt, truncated, or
 //     checksum-failed frame is fatal. The error is sticky; no further
@@ -52,12 +53,12 @@ type Reader struct {
 
 	cur     frameDecoder
 	inFrame bool
-	payload []byte // current frame payload (reused between frames)
 
-	pend    []byte // lenient mode: buffered input awaiting frame validation
-	pendOff int
-
-	scratch [8]byte // frame magic + checksum reads (avoids per-frame allocs)
+	// win is the read-ahead window every frame is parsed from, and
+	// win[off:] its unconsumed part. The current frame's payload aliases
+	// the window, which is therefore refilled only between frames.
+	win []byte
+	off int
 
 	err error
 }
@@ -157,9 +158,6 @@ func (t *Reader) Name() string { return t.name }
 // Sites returns the static allocation-site name table from the header.
 // The map may be nil; the caller must not modify it.
 func (t *Reader) Sites() map[trace.SiteID]string { return t.sites }
-
-// Events reports how many events have been decoded so far.
-func (t *Reader) Events() int64 { return t.stats.Events }
 
 // Version reports the format version of the trace being read (2 or 3).
 func (t *Reader) Version() int { return int(t.ver) }
@@ -306,14 +304,6 @@ func (d *frameDecoder) next(delivered int64) (trace.Event, error) {
 	return e, nil
 }
 
-// grow returns buf resized to n bytes, reallocating only when needed.
-func grow(buf []byte, n int) []byte {
-	if cap(buf) < n {
-		return make([]byte, n)
-	}
-	return buf[:n]
-}
-
 // Next implements trace.Source: decode the next event, loading the next
 // frame when the current one is exhausted. Returns io.EOF at a clean end
 // of trace. In strict mode any corruption surfaces immediately as an
@@ -367,149 +357,72 @@ func (t *Reader) recordCorruption(err error, lostEvents int64) {
 	}
 }
 
+// nextFrame loads the next frame into cur. Both fault policies run this
+// one loop over parseFrame: strict returns the first error; lenient
+// records it and scans forward for the next frame. All input flows
+// through the window, so a mis-parse (a corrupt length field claiming
+// megabytes, say) never consumes bytes that a later scan could still
+// recognize as real frames.
 func (t *Reader) nextFrame() error {
-	if t.lenient {
-		return t.lenientNextFrame()
-	}
-	if t.ver == VersionNoChecksum {
-		return t.strictNextFrameV2()
-	}
-	return t.strictNextFrameV3()
-}
-
-// strictNextFrameV2 loads and validates the next checksum-less legacy
-// frame. Returns io.EOF on a clean end of trace.
-func (t *Reader) strictNextFrameV2() error {
-	pl, err := binary.ReadUvarint(t.br)
-	if err == io.EOF {
-		return io.EOF // clean end: trace ends on a frame boundary
-	}
-	if err != nil {
-		return badf("frame length: %v", err)
-	}
-	if pl == 0 || pl > MaxFramePayload {
-		return badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	}
-	t.payload = grow(t.payload, int(pl))
-	if _, err := io.ReadFull(t.br, t.payload); err != nil {
-		return badf("frame body: %v", err)
-	}
-	if err := t.cur.start(t.payload); err != nil {
-		return err
-	}
-	t.inFrame = true
-	t.stats.Frames++
-	return nil
-}
-
-// strictNextFrameV3 loads the next checksummed frame: sync marker, payload
-// length, CRC32C, payload. Returns io.EOF on a clean end of trace.
-func (t *Reader) strictNextFrameV3() error {
-	magic := t.scratch[:len(FrameMagic)]
-	if _, err := io.ReadFull(t.br, magic); err != nil {
-		if err == io.EOF {
-			return io.EOF // clean end: trace ends on a frame boundary
-		}
-		return badf("frame magic: %v", err)
-	}
-	if string(magic) != FrameMagic {
-		return badf("bad frame magic %x", magic)
-	}
-	pl, err := binary.ReadUvarint(t.br)
-	if err != nil {
-		return badf("frame length: %v", err)
-	}
-	if pl == 0 || pl > MaxFramePayload {
-		return badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	}
-	crcBuf := t.scratch[4:8]
-	if _, err := io.ReadFull(t.br, crcBuf); err != nil {
-		return badf("frame checksum: %v", err)
-	}
-	t.payload = grow(t.payload, int(pl))
-	if _, err := io.ReadFull(t.br, t.payload); err != nil {
-		return badf("frame body: %v", err)
-	}
-	want := binary.LittleEndian.Uint32(crcBuf)
-	if got := crc32.Checksum(t.payload, crcTable); got != want {
-		return badf("frame checksum mismatch: payload %08x, header %08x", got, want)
-	}
-	if err := t.cur.start(t.payload); err != nil {
-		return err
-	}
-	t.inFrame = true
-	t.stats.Frames++
-	return nil
-}
-
-// fillChunk is how much input the lenient reader pulls per refill while
-// validating or scanning.
-const fillChunk = 64 << 10
-
-// errNeedMore signals that the buffered window is too short to decide
-// whether a frame starts at the current offset.
-var errNeedMore = errors.New("tracefmt: need more data")
-
-// fill grows the lenient read-ahead buffer, compacting consumed bytes
-// first. io.EOF means the underlying stream is exhausted.
-func (t *Reader) fill() error {
-	if t.pendOff > 0 {
-		n := copy(t.pend, t.pend[t.pendOff:])
-		t.pend = t.pend[:n]
-		t.pendOff = 0
-	}
-	start := len(t.pend)
-	t.pend = append(t.pend, make([]byte, fillChunk)...)
-	n, err := t.br.Read(t.pend[start:])
-	t.pend = t.pend[:start+n]
-	if n > 0 {
-		return nil
-	}
-	if err == nil || err == io.EOF {
-		return io.EOF
-	}
-	return err
-}
-
-// lenientNextFrame acquires the next valid frame, skipping damage. All
-// input flows through the pend buffer so that a frame mis-parse (a corrupt
-// length field claiming megabytes, say) never consumes bytes that a later
-// scan could still recognize as real frames.
-func (t *Reader) lenientNextFrame() error {
 	scanning := false
 	for {
-		lost, err := t.tryFrame()
+		payload, n, err := parseFrame(t.win[t.off:], t.ver, t.lenient)
 		if err == nil {
-			return nil
+			if err = t.cur.start(payload); err == nil {
+				t.off += n
+				t.inFrame = true
+				t.stats.Frames++
+				return nil
+			}
 		}
+		atEOF := false
 		if err == errNeedMore {
-			ferr := t.fill()
-			if ferr == nil {
+			if err = t.fill(); err == nil {
 				continue
 			}
-			if ferr != io.EOF {
-				return ferr // a real I/O error, not trace damage
+			if err != io.EOF {
+				return fmt.Errorf("%w: read: %w", ErrBadTrace, err)
 			}
-			// Input exhausted: whatever remains cannot form a frame.
-			rem := int64(len(t.pend) - t.pendOff)
-			if rem > 0 && !scanning {
-				t.recordCorruption(badf("truncated frame at end of trace"), lost)
-				t.stats.SkippedFrames++
+			if t.off == len(t.win) {
+				return t.endOfTrace() // the trace ends on a frame boundary
 			}
-			t.stats.SkippedBytes += rem
-			t.pendOff = len(t.pend)
-			return t.endOfTrace()
+			atEOF = true
+			err = badf("truncated frame at end of trace")
 		}
-		// No valid frame starts here. The first failure at an expected
-		// frame boundary is the corruption incident; subsequent failures
-		// are just the scan walking over garbage.
+		if !t.lenient {
+			return err
+		}
+		// The first failure at an expected frame boundary is the
+		// corruption incident; later failures are the scan walking over
+		// garbage.
 		if !scanning {
 			scanning = true
-			t.recordCorruption(err, lost)
+			t.recordCorruption(err, claimedCount(payload))
 			t.stats.SkippedFrames++
+		}
+		if atEOF {
+			t.stats.SkippedBytes += int64(len(t.win) - t.off)
+			t.off = len(t.win)
+			return t.endOfTrace()
 		}
 		t.skipForward()
 	}
+}
+
+// fillChunk is the least spare room the window offers each read.
+const fillChunk = 64 << 10
+
+// fill reads more input onto the end of the window, first dropping its
+// consumed prefix. io.EOF means the input is exhausted.
+func (t *Reader) fill() error {
+	if t.off > 0 {
+		t.win = t.win[:copy(t.win, t.win[t.off:])]
+		t.off = 0
+	}
+	t.win = slices.Grow(t.win, fillChunk)
+	n, err := io.ReadAtLeast(t.br, t.win[len(t.win):cap(t.win)], 1)
+	t.win = t.win[:len(t.win)+n]
+	return err
 }
 
 func (t *Reader) endOfTrace() error {
@@ -519,94 +432,15 @@ func (t *Reader) endOfTrace() error {
 	return io.EOF
 }
 
-// tryFrame attempts to parse one complete frame at the current buffer
-// offset, consuming it on success. It returns errNeedMore when the window
-// must grow, or the decode error when no valid frame starts here — along
-// with a best-effort count of the events the failed frame claimed to hold
-// (0 when the count itself is unreadable).
-func (t *Reader) tryFrame() (int64, error) {
-	w := t.pend[t.pendOff:]
-	if t.ver == VersionNoChecksum {
-		return t.tryFrameV2(w)
-	}
-	return t.tryFrameV3(w)
-}
-
 // claimedCount best-effort-parses a damaged payload's record count for the
-// skipped-events accounting.
+// skipped-events accounting (0 when there is no payload or its count is
+// unreadable).
 func claimedCount(payload []byte) int64 {
 	cnt, n := binary.Uvarint(payload)
 	if n > 0 && cnt > 0 && cnt <= uint64(len(payload)) {
 		return int64(cnt)
 	}
 	return 0
-}
-
-func (t *Reader) tryFrameV3(w []byte) (int64, error) {
-	if len(w) < len(FrameMagic) {
-		return 0, errNeedMore
-	}
-	if string(w[:len(FrameMagic)]) != FrameMagic {
-		return 0, badf("bad frame magic %x", w[:len(FrameMagic)])
-	}
-	rest := w[len(FrameMagic):]
-	pl, n := binary.Uvarint(rest)
-	if n == 0 {
-		if len(rest) < binary.MaxVarintLen64 {
-			return 0, errNeedMore
-		}
-		return 0, badf("frame length: malformed varint")
-	}
-	if n < 0 || pl == 0 || pl > MaxFramePayload {
-		return 0, badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	}
-	rest = rest[n:]
-	if len(rest) < 4+int(pl) {
-		return 0, errNeedMore
-	}
-	want := binary.LittleEndian.Uint32(rest[:4])
-	payload := rest[4 : 4+pl]
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return claimedCount(payload), badf("frame checksum mismatch: payload %08x, header %08x", got, want)
-	}
-	t.payload = append(t.payload[:0], payload...)
-	if err := t.cur.start(t.payload); err != nil {
-		return claimedCount(payload), err
-	}
-	t.pendOff += len(FrameMagic) + n + 4 + int(pl)
-	t.inFrame = true
-	t.stats.Frames++
-	return 0, nil
-}
-
-func (t *Reader) tryFrameV2(w []byte) (int64, error) {
-	pl, n := binary.Uvarint(w)
-	if n == 0 {
-		if len(w) < binary.MaxVarintLen64 {
-			return 0, errNeedMore
-		}
-		return 0, badf("frame length: malformed varint")
-	}
-	if n < 0 || pl == 0 || pl > MaxFramePayload {
-		return 0, badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	}
-	if uint64(len(w)-n) < pl {
-		return 0, errNeedMore
-	}
-	payload := w[n : n+int(pl)]
-	// A checksum-less candidate proves itself structurally: every record
-	// must decode and consume the payload exactly.
-	if err := validatePayload(payload); err != nil {
-		return claimedCount(payload), err
-	}
-	t.payload = append(t.payload[:0], payload...)
-	if err := t.cur.start(t.payload); err != nil {
-		return claimedCount(payload), err
-	}
-	t.pendOff += n + int(pl)
-	t.inFrame = true
-	t.stats.Frames++
-	return 0, nil
 }
 
 // validatePayload decodes every record of a candidate v2 frame payload —
@@ -629,9 +463,9 @@ func validatePayload(payload []byte) error {
 // checksummed traces it jumps straight to the next sync-marker candidate;
 // for legacy traces every offset is a candidate, so it steps one byte.
 func (t *Reader) skipForward() {
-	w := t.pend[t.pendOff:]
+	w := t.win[t.off:]
 	if t.ver == VersionNoChecksum {
-		t.pendOff++
+		t.off++
 		t.stats.SkippedBytes++
 		return
 	}
@@ -643,16 +477,6 @@ func (t *Reader) skipForward() {
 		// enough that a marker could still straddle the next refill.
 		skip = d
 	}
-	t.pendOff += skip
+	t.off += skip
 	t.stats.SkippedBytes += int64(skip)
-}
-
-// Replay decodes a whole trace from r into sink, returning the event count
-// and the header metadata. It is the push-style convenience over Reader.
-func Replay(r io.Reader, sink trace.Sink) (int, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return 0, err
-	}
-	return trace.Drain(tr, sink)
 }

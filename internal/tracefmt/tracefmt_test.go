@@ -361,15 +361,21 @@ func TestBoundedReplayMemory(t *testing.T) {
 	}
 }
 
+// TestReplayHelper: draining a Reader into a sink — the push-style replay
+// every tool runs — delivers every event of the trace.
 func TestReplayHelper(t *testing.T) {
 	events := randomEvents(1000, 8)
 	data := encode(t, events)
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf trace.Buffer
-	n, err := Replay(bytes.NewReader(data), &buf)
+	n, err := trace.Drain(r, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(events) || buf.Len() != len(events) {
-		t.Fatalf("Replay delivered %d events, want %d", n, len(events))
+		t.Fatalf("Drain delivered %d events, want %d", n, len(events))
 	}
 }
